@@ -13,12 +13,14 @@
 #   make series      windowed telemetry sample -> SERIES_sample.json + SERIES_report.txt
 #   make prof        simulated-time profile byte-compared to PROF_sample.* goldens
 #   make prof-baseline  refresh the committed profile goldens
+#   make path        causal-path JSON report byte-compared to PATH_sample.json
+#   make path-baseline  refresh the committed causal-path golden
 #   make chaos       short-budget chaos sweep, byte-compared to CHAOS_findings.json
 #   make ci          everything CI runs
 
 GO ?= go
 
-.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro bench-scale bench-scale-baseline series prof prof-baseline chaos ci
+.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro bench-scale bench-scale-baseline series prof prof-baseline path path-baseline chaos ci
 
 all: build test
 
@@ -149,6 +151,22 @@ prof-baseline:
 		-prof-folded PROF_sample.folded -prof-pprof PROF_sample.pb
 	$(GO) run ./cmd/voyager-prof -top 8 PROF_sample.json > PROF_report.txt
 
+# Causal-path golden: the faulty reliable run's voyager-path/v1 JSON
+# document (every traced message's per-stage latency breakdown),
+# byte-compared to the committed artifact. It pins the shared all-to-one
+# workload and the critical-path analysis together.
+path:
+	$(GO) run ./cmd/voyager-path -mech reliable -count 8 \
+		-faults 'seed=7,drop=0.05' -json > /tmp/PATH_sample.json
+	cmp /tmp/PATH_sample.json PATH_sample.json
+	@echo "path: causal-path report matches the committed golden"
+
+# Refresh the committed causal-path golden after an intentional timing or
+# attribution change.
+path-baseline:
+	$(GO) run ./cmd/voyager-path -mech reliable -count 8 \
+		-faults 'seed=7,drop=0.05' -json > PATH_sample.json
+
 # Short-budget chaos sweep: fuzzed fault plans run through the invariant
 # oracles (exactly-once, conservation, quiescence, telescoping, metrics,
 # memcheck) under the deadlock watchdog, fanned across 4 workers. The report
@@ -162,4 +180,4 @@ chaos:
 	cmp CHAOS_found.json CHAOS_findings.json
 	@echo "chaos: sweep matches the committed baseline (no findings)"
 
-ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof chaos
+ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof path chaos

@@ -15,9 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
-	"os"
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/bench"
@@ -113,25 +113,17 @@ func characterize(nodes, packets int, instrument bool, traceFile, metricsFile st
 			name, st.Delivered, st.Bytes, eng2.Now(),
 			float64(st.Bytes)/float64(eng2.Now())*1e3)
 		if tbuf != nil {
-			writeFile(traceFile, func(f *os.File) error { return tbuf.WritePerfetto(f) })
+			if err := bench.WriteFile(traceFile, tbuf.WritePerfetto); err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("trace: %s\n", traceFile)
 		}
 		if reg != nil {
-			writeFile(metricsFile, func(f *os.File) error { return reg.WriteJSON(f, eng2.Now()) })
+			err := bench.WriteFile(metricsFile, func(w io.Writer) error { return reg.WriteJSON(w, eng2.Now()) })
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("metrics: %s\n", metricsFile)
 		}
-	}
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
 	}
 }

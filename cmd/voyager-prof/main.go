@@ -25,6 +25,7 @@ import (
 	"log"
 	"os"
 
+	"startvoyager/internal/bench"
 	"startvoyager/internal/prof"
 )
 
@@ -65,12 +66,16 @@ func main() {
 
 	wrote := false
 	if *folded != "" {
-		writeFile(*folded, func(f *os.File) error { return d.WriteFolded(f) })
+		if err := bench.WriteFile(*folded, d.WriteFolded); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("folded: %s\n", *folded)
 		wrote = true
 	}
 	if *pprofOut != "" {
-		writeFile(*pprofOut, func(f *os.File) error { return d.WritePprof(f) })
+		if err := bench.WriteFile(*pprofOut, d.WritePprof); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("pprof: %s\n", *pprofOut)
 		wrote = true
 	}
@@ -78,19 +83,6 @@ func main() {
 		return
 	}
 	if err := d.WriteReport(os.Stdout, *topN); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 }

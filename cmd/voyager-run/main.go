@@ -51,154 +51,38 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"strings"
-	"time"
 
 	"startvoyager/internal/bench"
 	"startvoyager/internal/cluster"
 	"startvoyager/internal/core"
 	"startvoyager/internal/fault"
 	"startvoyager/internal/prof"
-	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
-	"startvoyager/internal/trace"
 )
 
 // runOpts is one machine run's configuration.
 type runOpts struct {
-	nodes, count, size int
-	mech               string
-	plan               *fault.Plan
-	faultsSpec         string // original -faults text, recorded in run metadata
-	traceCap           int
-	trace              bool
-	seriesWindow       sim.Time // 0: no windowed telemetry sampler
-	profile            bool     // attach the simulated-time profiler
+	nodes int
+	work  bench.AllToOne
+	plan  *fault.Plan
 }
 
-// runResult carries the counters the report paths need, plus the machine for
-// the single-run artifact writers.
+// runResult is one run's observed machine and workload counters.
 type runResult struct {
-	m                      *core.Machine
-	tbuf                   *trace.Buffer
-	sampler                *stats.Sampler
-	profiler               *prof.Profiler
-	received, failed       int
-	retrans, dups, garbage uint64
+	bench.Observed
+	bench.AllToOneResult
 }
 
-// runOnce builds a machine, drives the all-to-one traffic pattern, and
-// collects delivery/recovery counters. It is a pure function of its options,
-// so independent runs may execute on parallel workers.
-func runOnce(o runOpts) runResult {
+// runOnce drives the all-to-one workload on a fresh machine with the given
+// instruments attached (see bench.Observe). It is a pure function of its
+// arguments, so independent runs may execute on parallel workers.
+func runOnce(o runOpts, capacity int, scfg *stats.SamplerConfig, profiler *prof.Profiler) runResult {
 	cfg := cluster.DefaultConfig(o.nodes)
 	cfg.Faults = o.plan
-	var profiler *prof.Profiler
-	if o.profile {
-		// Attached through the config so firmware loops spawned during
-		// machine construction are accounted from time zero.
-		profiler = prof.New()
-		cfg.Profiler = profiler
-	}
-	m := core.NewMachineConfig(cfg)
-	var tbuf *trace.Buffer
-	if o.trace {
-		tbuf = m.Trace(o.traceCap)
-	}
-	var sampler *stats.Sampler
-	if o.seriesWindow > 0 {
-		sampler = m.Series(stats.SamplerConfig{Window: o.seriesWindow})
-	}
-	senders := o.nodes - 1
-	total := senders * o.count
-
-	received := 0
-	failed := 0
-	sendersDone := 0
-	m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
-		if o.mech == "reliable" {
-			// Senders may legitimately fail under a fault plan (dead peers),
-			// so the sink drains with a bounded wait and leaves once every
-			// sender has finished and the pipeline has gone quiet.
-			for {
-				if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil {
-					if sendersDone == senders {
-						return
-					}
-					continue
-				}
-				received++
-			}
-		}
-		for received < total {
-			switch o.mech {
-			case "basic", "tagon":
-				if _, _, ok := a.TryRecvBasic(p); ok {
-					received++
-				}
-			case "express":
-				if _, _, ok := a.TryRecvExpress(p); ok {
-					received++
-				}
-			case "dma":
-				a.RecvNotify(p)
-				received++
-			}
-		}
+	var r runResult
+	r.Observed = bench.Observe(cfg, capacity, scfg, profiler, func(m *core.Machine) {
+		r.AllToOneResult = o.work.Run(m)
 	})
-	for i := 1; i < o.nodes; i++ {
-		i := i
-		m.Go(i, "src", func(p *sim.Proc, a *core.API) {
-			for k := 0; k < o.count; k++ {
-				switch o.mech {
-				case "basic":
-					payload := make([]byte, min(o.size, core.MaxBasicPayload))
-					a.SendBasic(p, 0, payload)
-				case "tagon":
-					// Inline byte + one 16-byte aSRAM tag appended by the NIU.
-					a.SendTagOn(p, 0, []byte{byte(k)}, 0x400, 16)
-				case "express":
-					a.SendExpress(p, 0, []byte{byte(k)})
-					a.Compute(p, 2*sim.Microsecond) // pace: express drops on overflow
-				case "reliable":
-					payload := make([]byte, min(o.size, core.MaxReliablePayload))
-					if err := a.SendReliable(p, 0, payload); err != nil {
-						failed++
-					}
-				case "dma":
-					n := o.size &^ 31
-					if n == 0 {
-						n = 32
-					}
-					a.DmaPush(p, 0, 0x10_0000, uint32(0x20_0000+i*0x1_0000), n, uint32(k))
-				default:
-					log.Fatalf("unknown mechanism %q", o.mech)
-				}
-			}
-			sendersDone++
-		})
-	}
-	m.Run()
-	if sampler != nil {
-		sampler.Finish()
-	}
-	if profiler != nil {
-		profiler.Finish(m.Eng.Now())
-	}
-
-	r := runResult{m: m, tbuf: tbuf, sampler: sampler, profiler: profiler,
-		received: received, failed: failed}
-	for _, rel := range m.Rels {
-		st := rel.Stats()
-		r.retrans += st.Retransmits
-		r.dups += st.DupSuppressed
-	}
-	for _, n := range m.Nodes {
-		r.garbage += n.Ctrl.Stats().RxGarbage
-	}
 	return r
 }
 
@@ -208,172 +92,135 @@ func main() {
 	count := flag.Int("count", 100, "messages (or transfers) per sender")
 	size := flag.Int("size", 64, "payload bytes (dma: transfer bytes, line-aligned)")
 	faults := flag.String("faults", "", "fault-injection plan (e.g. 'seed=7,drop=0.05,outage=1-0@20us:200us')")
-	traceFile := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON file")
-	metricsFile := flag.String("metrics", "", "write the metrics registry as JSON")
 	dumpN := flag.Int("dump", 0, "print the last N structured trace events")
-	traceCap := flag.Int("trace-cap", 1<<18, "trace ring capacity (oldest events drop beyond this)")
-	seriesFile := flag.String("series", "", "write windowed time-series telemetry (voyager-series/v1, render with voyager-stats)")
-	seriesWindow := flag.String("series-window", "20us", "simulated-time window width for -series (Go duration)")
-	strictTrace := flag.Bool("strict-trace", false, "exit nonzero if the trace ring dropped events (implies tracing)")
 	seeds := flag.String("seeds", "", "comma-separated fault-plan seeds: run once per seed and print a summary table")
 	parallelN := flag.Int("parallel", 1, "max OS worker goroutines for the -seeds sweep (output is identical at any value)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulator process")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the simulator process")
-	profFile := flag.String("prof", "", "write a simulated-time profile (voyager-prof/v1 JSON, render with voyager-prof)")
-	profFolded := flag.String("prof-folded", "", "write the simulated-time profile as folded flame-graph stacks")
-	profPprof := flag.String("prof-pprof", "", "write the simulated-time profile as pprof protobuf (open with `go tool pprof`)")
+	inst := bench.NewInstruments(flag.CommandLine)
 	flag.Parse()
-
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
-	defer stopProfiles()
+	if err := inst.Start(); err != nil {
+		log.Fatal(err)
+	}
 
 	nodeCounts, err := bench.ParseNodeList(*nodes)
 	if err != nil {
 		log.Fatalf("-nodes: %v", err)
 	}
-	var plan *fault.Plan
+	opts := runOpts{nodes: nodeCounts[0], work: bench.AllToOne{Mech: *mech, Count: *count, Size: *size}}
+	if err := opts.work.Check(); err != nil {
+		log.Fatal(err)
+	}
 	if *faults != "" {
-		plan, err = fault.ParsePlan(*faults)
-		if err != nil {
+		if opts.plan, err = fault.ParsePlan(*faults); err != nil {
 			log.Fatalf("-faults: %v", err)
 		}
 	}
-	opts := runOpts{
-		nodes: nodeCounts[0], count: *count, size: *size, mech: *mech,
-		plan: plan, faultsSpec: *faults, traceCap: *traceCap,
-		trace:   *traceFile != "" || *dumpN > 0 || *strictTrace,
-		profile: *profFile != "" || *profFolded != "" || *profPprof != "",
-	}
-	if *seriesFile != "" {
-		w, err := time.ParseDuration(*seriesWindow)
-		if err != nil || w <= 0 {
-			log.Fatalf("-series-window: invalid duration %q", *seriesWindow)
-		}
-		opts.seriesWindow = sim.Time(w.Nanoseconds())
-	}
 
-	if len(nodeCounts) > 1 {
-		if opts.trace || *metricsFile != "" || *seriesFile != "" || opts.profile || *seeds != "" {
+	instrumented := inst.Requested() || *dumpN > 0
+	switch {
+	case len(nodeCounts) > 1:
+		if instrumented || *seeds != "" {
 			log.Fatalf("a -nodes sweep cannot be combined with -trace, -metrics, -series, -prof, -dump, or -seeds")
 		}
-		runNodeSweep(opts, nodeCounts, *parallelN)
-		return
-	}
-	if *seeds != "" {
-		if opts.trace || *metricsFile != "" || *seriesFile != "" || opts.profile {
+		keys := make([]string, len(nodeCounts))
+		for i, n := range nodeCounts {
+			keys[i] = fmt.Sprint(n)
+		}
+		runSweep(fmt.Sprintf("node-count sweep — mechanism=%s messages/sender=%d", *mech, *count),
+			"nodes", keys, *parallelN, func(i int) runOpts {
+				o := opts
+				o.nodes = nodeCounts[i]
+				return o
+			})
+	case *seeds != "":
+		if instrumented {
 			log.Fatalf("-seeds cannot be combined with -trace, -metrics, -series, -prof, or -dump")
 		}
-		runSweep(opts, parseSeeds(*seeds), *parallelN)
-		return
-	}
-
-	r := runOnce(opts)
-	report(opts, r, *traceFile, *metricsFile, *seriesFile, *dumpN)
-	writeProfiles(opts, r, *profFile, *profFolded, *profPprof)
-	if *strictTrace {
-		if d := r.tbuf.Stats().Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr, "strict-trace: ring dropped %d events\n", d)
-			stopProfiles()
-			os.Exit(1)
-		}
-	}
-}
-
-// parseSeeds parses the -seeds list.
-func parseSeeds(s string) []uint64 {
-	var out []uint64
-	for _, part := range strings.Split(s, ",") {
-		seed, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
+		seedList, err := bench.ParseSeedList(*seeds)
 		if err != nil {
 			log.Fatalf("-seeds: %v", err)
 		}
-		out = append(out, seed)
-	}
-	return out
-}
-
-// runNodeSweep executes one run per machine size across up to workers
-// goroutines and prints the per-size summary in listed order. Delivery
-// counters and simulated time are deterministic per size, so the table is
-// byte-identical at any -parallel value.
-func runNodeSweep(opts runOpts, counts []int, workers int) {
-	results := bench.Cells(len(counts), workers, func(i int) runResult {
-		o := opts
-		o.nodes = counts[i]
-		return runOnce(o)
-	})
-	t := &stats.Table{
-		Title: fmt.Sprintf("node-count sweep — mechanism=%s messages/sender=%d",
-			opts.mech, opts.count),
-		Columns: []string{"nodes", "delivered", "failed", "retransmits",
-			"dup-suppressed", "rx-garbage", "sim-time"},
-	}
-	for i, r := range results {
-		t.AddRow(fmt.Sprint(counts[i]),
-			fmt.Sprint(r.received), fmt.Sprint(r.failed),
-			fmt.Sprint(r.retrans), fmt.Sprint(r.dups), fmt.Sprint(r.garbage),
-			r.m.Eng.Now().String())
-	}
-	fmt.Print(t)
-}
-
-// runSweep executes one run per seed (re-seeding the fault plan) across up
-// to workers goroutines and prints the per-seed summary in seed order.
-func runSweep(opts runOpts, seedList []uint64, workers int) {
-	results := bench.Cells(len(seedList), workers, func(i int) runResult {
-		o := opts
-		if opts.plan != nil {
-			p := *opts.plan
-			p.Seed = seedList[i]
-			o.plan = &p
+		keys := make([]string, len(seedList))
+		for i, seed := range seedList {
+			keys[i] = fmt.Sprint(seed)
 		}
-		return runOnce(o)
-	})
-	t := &stats.Table{
-		Title: fmt.Sprintf("multi-seed sweep — mechanism=%s nodes=%d messages=%d per seed",
-			opts.mech, opts.nodes, (opts.nodes-1)*opts.count),
-		Columns: []string{"seed", "delivered", "failed", "retransmits",
-			"dup-suppressed", "rx-garbage", "sim-time"},
+		runSweep(fmt.Sprintf("multi-seed sweep — mechanism=%s nodes=%d messages=%d per seed",
+			*mech, opts.nodes, (opts.nodes-1)*(*count)),
+			"seed", keys, *parallelN, func(i int) runOpts {
+				o := opts
+				if opts.plan != nil {
+					p := *opts.plan
+					p.Seed = seedList[i]
+					o.plan = &p
+				}
+				return o
+			})
+		if opts.plan == nil {
+			fmt.Println("note: no -faults plan attached; seeds have nothing to re-seed, runs are identical")
+		}
+	default:
+		capacity := 0
+		if inst.Tracing() || *dumpN > 0 {
+			capacity = inst.TraceCap
+		}
+		r := runOnce(opts, capacity, inst.SamplerConfig, inst.Profiler)
+		report(opts, r)
+		meta := stats.RunMeta{Tool: "voyager-run", Mechanism: *mech, Nodes: opts.nodes, FaultPlan: *faults}
+		if opts.plan != nil {
+			meta.Seed = opts.plan.Seed
+		}
+		err = inst.Write(r.Observed, meta)
+		if *dumpN > 0 {
+			evs := r.Trace.Events()
+			if len(evs) > *dumpN {
+				evs = evs[len(evs)-*dumpN:]
+			}
+			fmt.Printf("\nlast %d structured trace events:\n", len(evs))
+			for _, e := range evs {
+				fmt.Println(e.String())
+			}
+		}
 	}
+	if err := inst.Stop(); err != nil {
+		log.Fatal(err)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// runSweep executes one uninstrumented run per row across up to workers
+// goroutines and prints the per-row summary, first column key, in listed
+// order. Delivery counters and simulated time are deterministic per run, so
+// the table is byte-identical at any -parallel value.
+func runSweep(title, key string, rows []string, workers int, row func(i int) runOpts) {
+	results := bench.Cells(len(rows), workers, func(i int) runResult {
+		return runOnce(row(i), 0, nil, nil)
+	})
+	t := &stats.Table{Title: title, Columns: []string{key, "delivered", "failed", "retransmits",
+		"dup-suppressed", "rx-garbage", "sim-time"}}
 	for i, r := range results {
-		t.AddRow(fmt.Sprint(seedList[i]),
-			fmt.Sprint(r.received), fmt.Sprint(r.failed),
-			fmt.Sprint(r.retrans), fmt.Sprint(r.dups), fmt.Sprint(r.garbage),
-			r.m.Eng.Now().String())
+		t.AddRow(rows[i], fmt.Sprint(r.Received), fmt.Sprint(r.Failed),
+			fmt.Sprint(r.Retransmits), fmt.Sprint(r.DupSuppressed), fmt.Sprint(r.RxGarbage),
+			r.SimTime.String())
 	}
 	fmt.Print(t)
-	if opts.plan == nil {
-		fmt.Println("note: no -faults plan attached; seeds have nothing to re-seed, runs are identical")
-	}
 }
 
-// runMeta describes the run for the metrics and series export headers.
-func runMeta(opts runOpts, m *core.Machine) *stats.RunMeta {
-	meta := &stats.RunMeta{
-		Tool: "voyager-run", Mechanism: opts.mech, Nodes: opts.nodes,
-		FaultPlan: opts.faultsSpec, SimTimeNs: int64(m.Eng.Now()),
-	}
-	if opts.plan != nil {
-		meta.Seed = opts.plan.Seed
-	}
-	return meta
-}
-
-// report prints the single-run statistics and writes the requested artifacts.
-func report(opts runOpts, r runResult, traceFile, metricsFile, seriesFile string, dumpN int) {
-	m, tbuf := r.m, r.tbuf
-	total := (opts.nodes - 1) * opts.count
+// report prints the single-run statistics.
+func report(opts runOpts, r runResult) {
+	m := r.Machine
 	fmt.Printf("mechanism=%s nodes=%d messages=%d simulated=%v\n",
-		opts.mech, opts.nodes, total, m.Eng.Now())
-	if opts.mech == "reliable" {
-		fmt.Printf("reliable: delivered=%d failed=%d bound=%v\n", r.received, r.failed, m.RelBound())
+		opts.work.Mech, opts.nodes, (opts.nodes-1)*opts.work.Count, r.SimTime)
+	if opts.work.Mech == "reliable" {
+		fmt.Printf("reliable: delivered=%d failed=%d bound=%v\n", r.Received, r.Failed, m.RelBound())
 	}
 	if m.Faults != nil {
 		fs := m.Faults.Stats()
 		fmt.Printf("faults: drops=%d corrupted=%d duplicated=%d delayed=%d outage-drops=%d death-drops=%d\n",
 			fs.InjectedDrops, fs.Corrupted, fs.Duplicated, fs.Delayed, fs.OutageDrops, fs.DeathDrops)
 		fmt.Printf("recovery: retransmits=%d dup-suppressed=%d rx-garbage=%d\n",
-			r.retrans, r.dups, r.garbage)
+			r.Retransmits, r.DupSuppressed, r.RxGarbage)
 	}
 	t := &stats.Table{
 		Title:   "per-node statistics",
@@ -390,123 +237,4 @@ func report(opts runOpts, r runResult, traceFile, metricsFile, seriesFile string
 			fmt.Sprint(cs.RxMessages))
 	}
 	fmt.Print(t)
-
-	if traceFile != "" {
-		writeFile(traceFile, func(f *os.File) error { return tbuf.WritePerfetto(f) })
-		ts := tbuf.Stats()
-		fmt.Printf("trace: %s (%d events captured, %d retained)\n",
-			traceFile, ts.Captured, ts.Retained)
-	}
-	if tbuf != nil {
-		if d := tbuf.Stats().Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace is truncated (raise -trace-cap)\n", d)
-		}
-	}
-	if metricsFile != "" {
-		writeFile(metricsFile, func(f *os.File) error {
-			return m.Metrics().WriteJSONMeta(f, m.Eng.Now(), runMeta(opts, m))
-		})
-		fmt.Printf("metrics: %s\n", metricsFile)
-	}
-	if seriesFile != "" {
-		writeFile(seriesFile, func(f *os.File) error {
-			return r.sampler.WriteJSON(f, runMeta(opts, m))
-		})
-		fmt.Printf("series: %s (%d windows of %v, render with voyager-stats)\n",
-			seriesFile, r.sampler.Windows(), opts.seriesWindow)
-	}
-	if dumpN > 0 {
-		evs := tbuf.Events()
-		if len(evs) > dumpN {
-			evs = evs[len(evs)-dumpN:]
-		}
-		fmt.Printf("\nlast %d structured trace events:\n", len(evs))
-		for _, e := range evs {
-			fmt.Println(e.String())
-		}
-	}
-}
-
-// writeProfiles exports the simulated-time profile in the requested formats.
-// All three derive from the same document, so their totals agree exactly.
-func writeProfiles(opts runOpts, r runResult, jsonFile, foldedFile, pprofFile string) {
-	if r.profiler == nil {
-		return
-	}
-	doc := r.profiler.Doc(runMeta(opts, r.m))
-	if jsonFile != "" {
-		writeFile(jsonFile, func(f *os.File) error { return doc.WriteJSON(f) })
-		fmt.Printf("prof: %s (render with voyager-prof)\n", jsonFile)
-	}
-	if foldedFile != "" {
-		writeFile(foldedFile, func(f *os.File) error { return doc.WriteFolded(f) })
-		fmt.Printf("prof-folded: %s (flamegraph.pl / speedscope)\n", foldedFile)
-	}
-	if pprofFile != "" {
-		writeFile(pprofFile, func(f *os.File) error { return doc.WritePprof(f) })
-		fmt.Printf("prof-pprof: %s (go tool pprof)\n", pprofFile)
-	}
-}
-
-// startProfiles begins the requested pprof captures and returns an
-// idempotent stop function that flushes them; it must run before exit for
-// the profiles to be valid.
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		cpuF = f
-	}
-	stopped := false
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				log.Fatalf("-cpuprofile: %v", err)
-			}
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			runtime.GC() // materialize the final live-heap picture
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-		}
-	}
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

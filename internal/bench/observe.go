@@ -10,56 +10,63 @@ import (
 	"startvoyager/internal/trace"
 )
 
-// Observed bundles the artifacts of one instrumented canonical run.
+// Observed bundles the artifacts of one instrumented run.
 type Observed struct {
+	Machine *core.Machine
+	// Trace is the trace ring, nil when the run was launched without one.
 	Trace   *trace.Buffer
 	Metrics *stats.Registry
 	SimTime sim.Time
 	// Series is the windowed telemetry sampler, non-nil when the run was
-	// launched with a sampler config (ObservedRunSeries); Finish has already
-	// been called, so it is ready to export.
+	// launched with a sampler config; Finish has already been called, so it
+	// is ready to export.
 	Series *stats.Sampler
 }
 
-// ObservedRun executes the canonical observability workload: a four-node
-// machine exercising every major mechanism at once — a hardware block
-// transfer (approach 3) between nodes 0 and 1, and Basic/Express/DMA
-// message traffic plus cached and S-COMA memory operations between nodes 2
-// and 3 — with the trace buffer attached from the start. Every model
-// package emits at least one span, instant, counter, or metric during this
-// run; the coverage test in observe_test.go holds the layer to that.
-func ObservedRun() Observed {
-	return ObservedRunCap(1 << 18)
-}
-
-// ObservedRunCap is ObservedRun with an explicit trace ring capacity, for
-// callers that expose -trace-cap.
-func ObservedRunCap(capacity int) Observed {
-	return ObservedRunSeries(capacity, nil)
-}
-
-// ObservedRunSeries is ObservedRunCap with an optional windowed telemetry
-// sampler attached for the run (nil scfg: no sampler).
-func ObservedRunSeries(capacity int, scfg *stats.SamplerConfig) Observed {
-	return ObservedRunProf(capacity, scfg, nil)
-}
-
-// ObservedRunProf is ObservedRunSeries with an optional simulated-time
-// profiler attached from machine construction (nil: no profiling). The
-// profiler is Finished at the run's end time, ready to export; attaching it
-// cannot change the run's trace, metrics, or timing (test-enforced).
-func ObservedRunProf(capacity int, scfg *stats.SamplerConfig, profiler *prof.Profiler) Observed {
-	cfg := cluster.DefaultConfig(4)
+// Observe builds a machine from cfg with the requested instruments
+// attached, hands it to run to spawn its procs and run it to completion,
+// and finishes the instruments at the end time. The profiler (nil: none)
+// goes in through cfg.Profiler so firmware loops spawned during
+// construction are accounted from time zero; then the trace ring
+// (capacity 0: none) and the sampler (nil scfg: none) attach, in that
+// order so the sampler scrapes the ring's trace/ metrics. No instrument
+// can change the run's simulated outcome (test-enforced).
+func Observe(cfg cluster.Config, capacity int, scfg *stats.SamplerConfig, profiler *prof.Profiler, run func(*core.Machine)) Observed {
 	if profiler != nil {
 		cfg.Profiler = profiler
 	}
 	m := core.NewMachineConfig(cfg)
-	tbuf := m.Trace(capacity)
-	var sampler *stats.Sampler
-	if scfg != nil {
-		sampler = m.Series(*scfg)
+	obs := Observed{Machine: m, Metrics: m.Metrics()}
+	if capacity > 0 {
+		obs.Trace = m.Trace(capacity)
 	}
+	if scfg != nil {
+		obs.Series = m.Series(*scfg)
+	}
+	run(m)
+	obs.SimTime = m.Eng.Now()
+	if obs.Series != nil {
+		obs.Series.Finish()
+	}
+	if profiler != nil {
+		profiler.Finish(obs.SimTime)
+	}
+	return obs
+}
 
+// ObservedRun executes the canonical observability workload under Observe:
+// a four-node machine exercising every major mechanism at once — a
+// hardware block transfer (approach 3) between nodes 0 and 1, and
+// Basic/Express/DMA message traffic plus cached and S-COMA memory
+// operations between nodes 2 and 3 — with a trace ring of the given
+// capacity attached from the start. Every model package emits at least one
+// span, instant, counter, or metric during this run; the coverage test in
+// observe_test.go holds the layer to that.
+func ObservedRun(capacity int, scfg *stats.SamplerConfig, profiler *prof.Profiler) Observed {
+	return Observe(cluster.DefaultConfig(4), capacity, scfg, profiler, canonicalRun)
+}
+
+func canonicalRun(m *core.Machine) {
 	xfer := blockxfer.NewTransfer(blockxfer.A3, m, 4<<10)
 	m.Go(0, "xfer-src", func(p *sim.Proc, api *core.API) {
 		xfer.Send(p, api)
@@ -92,11 +99,4 @@ func ObservedRunProf(capacity int, scfg *stats.SamplerConfig, profiler *prof.Pro
 		api.RecvNotify(p)
 	})
 	m.Run()
-	if sampler != nil {
-		sampler.Finish()
-	}
-	if profiler != nil {
-		profiler.Finish(m.Eng.Now())
-	}
-	return Observed{Trace: tbuf, Metrics: m.Metrics(), SimTime: m.Eng.Now(), Series: sampler}
 }

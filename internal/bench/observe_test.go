@@ -10,7 +10,7 @@ import (
 // observability layer: the canonical run must produce trace events from
 // every traced component and metrics from every model package.
 func TestObservedRunCoverage(t *testing.T) {
-	obs := ObservedRun()
+	obs := ObservedRun(1<<18, nil, nil)
 
 	comps := map[string]bool{}
 	for _, e := range obs.Trace.Events() {
@@ -46,7 +46,7 @@ func TestObservedRunCoverage(t *testing.T) {
 // artifacts.
 func TestObservedRunDeterministic(t *testing.T) {
 	render := func() ([]byte, []byte) {
-		obs := ObservedRun()
+		obs := ObservedRun(1<<18, nil, nil)
 		var tr, me bytes.Buffer
 		if err := obs.Trace.WritePerfetto(&tr); err != nil {
 			t.Fatalf("WritePerfetto: %v", err)

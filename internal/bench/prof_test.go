@@ -19,7 +19,7 @@ import (
 // an accounting hook leaked into modeled state.
 func TestProfilerInert(t *testing.T) {
 	render := func(profiler *prof.Profiler) ([]byte, []byte, sim.Time) {
-		obs := ObservedRunProf(1<<18, nil, profiler)
+		obs := ObservedRun(1<<18, nil, profiler)
 		var tr, me bytes.Buffer
 		if err := obs.Trace.WritePerfetto(&tr); err != nil {
 			t.Fatalf("WritePerfetto: %v", err)
@@ -44,7 +44,7 @@ func TestProfilerInert(t *testing.T) {
 		t.Error("attaching the profiler changed the metrics export")
 	}
 	if !profiler.Finished() {
-		t.Fatal("ObservedRunProf did not finish the profiler")
+		t.Fatal("ObservedRun did not finish the profiler")
 	}
 	if doc := profiler.Doc(nil); doc.TotalNs == 0 {
 		t.Error("profiled run accounted no proc time")
@@ -120,7 +120,7 @@ func TestProfilerInertUnderFaults(t *testing.T) {
 func TestProfilerDeterministic(t *testing.T) {
 	render := func() ([]byte, []byte, []byte) {
 		profiler := prof.New()
-		ObservedRunProf(1<<18, nil, profiler)
+		ObservedRun(1<<18, nil, profiler)
 		doc := profiler.Doc(nil)
 		var js, folded, pb bytes.Buffer
 		if err := doc.WriteJSON(&js); err != nil {
@@ -153,7 +153,7 @@ func TestProfilerDeterministic(t *testing.T) {
 // formats, which derive from the same tree, agree on the total).
 func TestProfiledRunInvariants(t *testing.T) {
 	profiler := prof.New()
-	obs := ObservedRunProf(1<<18, nil, profiler)
+	obs := ObservedRun(1<<18, nil, profiler)
 	doc := profiler.Doc(nil)
 
 	if doc.SimNs != int64(obs.SimTime) {

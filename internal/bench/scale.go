@@ -48,8 +48,34 @@ func ParseNodeList(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node list %q: %q is not an integer", s, p)
 		}
-		if v < 2 || v > node.MaxNodes {
-			return nil, fmt.Errorf("node list %q: %d is outside the supported range 2..%d", s, v, node.MaxNodes)
+		if err := CheckNodeCount(v); err != nil {
+			return nil, fmt.Errorf("node list %q: %w", s, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// CheckNodeCount reports a machine size outside the supported range
+// 2..node.MaxNodes.
+func CheckNodeCount(n int) error {
+	if n < 2 || n > node.MaxNodes {
+		return fmt.Errorf("%d is outside the supported range 2..%d", n, node.MaxNodes)
+	}
+	return nil
+}
+
+// ParseSeedList parses a comma-separated list of decimal seeds.
+func ParseSeedList(s string) ([]uint64, error) {
+	var out []uint64
+	for _, part := range strings.Split(s, ",") {
+		p := strings.TrimSpace(part)
+		if p == "" {
+			return nil, fmt.Errorf("seed list %q: empty element", s)
+		}
+		v, err := strconv.ParseUint(p, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("seed list %q: %q is not a decimal seed", s, p)
 		}
 		out = append(out, v)
 	}

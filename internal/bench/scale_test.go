@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,6 +55,46 @@ func TestParseNodeList(t *testing.T) {
 	}
 	if _, err := ParseNodeList("2048"); err != nil {
 		t.Errorf("ParseNodeList at MaxNodes=%d: %v", node.MaxNodes, err)
+	}
+}
+
+func TestParseSeedList(t *testing.T) {
+	good := []struct {
+		in   string
+		want []uint64
+	}{
+		{"7", []uint64{7}},
+		{"1,2,3", []uint64{1, 2, 3}},
+		{" 010 , 18446744073709551615 ", []uint64{10, 1<<64 - 1}}, // decimal, never octal
+	}
+	for _, c := range good {
+		got, err := ParseSeedList(c.in)
+		if err != nil {
+			t.Errorf("ParseSeedList(%q): %v", c.in, err)
+			continue
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("ParseSeedList(%q)=%v, want %v", c.in, got, c.want)
+		}
+	}
+	// Errors must name the offending element.
+	bad := []struct{ in, mention string }{
+		{"1,abc,3", `"abc"`},
+		{"1,,3", "empty"},
+		{"", "empty"},
+		{"0x10", `"0x10"`},
+		{"-1", `"-1"`},
+		{"18446744073709551616", "18446744073709551616"},
+	}
+	for _, c := range bad {
+		_, err := ParseSeedList(c.in)
+		if err == nil {
+			t.Errorf("ParseSeedList(%q): no error", c.in)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.mention) {
+			t.Errorf("ParseSeedList(%q) error %q does not name %q", c.in, err, c.mention)
+		}
 	}
 }
 
