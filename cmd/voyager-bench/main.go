@@ -8,7 +8,7 @@
 //	              [-series file.json] [-series-window 20us] [-strict-trace]
 //	              [-headline file.json] [-diff baseline.json]
 //	              [-fault-matrix] [-fault-seeds 1,2,3] [-faults-json file.json]
-//	              [-parallel n] [-micro file.json]
+//	              [-parallel n]
 //	              [-scale file.json] [-scale-diff baseline.json] [-nodes 64,256,1024]
 //	              [-cpuprofile file] [-memprofile file]
 //
@@ -34,16 +34,15 @@
 // value; only wall-clock changes (CI enforces this with a byte-for-byte
 // diff, see `make faults-check`).
 //
-// -micro runs the scheduler/handoff microbenchmark suite and records
-// events/sec and allocs/op as JSON (`make bench-micro` keeps
-// BENCH_micro.json current). -cpuprofile / -memprofile capture pprof
-// profiles of whatever the invocation runs.
+// -cpuprofile / -memprofile capture pprof profiles of whatever the
+// invocation runs. Host cost is measured end to end by hostbench/ and per
+// kernel path by `go test -bench`; this tool reports simulated results.
 //
 // -scale runs the machine-size sweep (-nodes, default 64,256,1024): per-node
-// heap footprint and construction time, MPI allreduce/samplesort completion,
-// and the per-tree-level hotspot saturation profile, written as
-// voyager-scale/v1 JSON (`make bench-scale-baseline` keeps BENCH_scale.json
-// current). -scale-diff recomputes the sweep and exits nonzero if any
+// heap footprint, MPI allreduce/samplesort completion, and the
+// per-tree-level hotspot saturation profile, written as voyager-scale/v1
+// JSON (`make bench-scale-baseline` keeps BENCH_scale.json current).
+// -scale-diff recomputes the sweep and exits nonzero if any
 // bytes/node figure regressed more than 10% against the given baseline
 // (`make bench-scale` is the CI gate). -nodes also overrides fig ext-f's
 // machine sizes.
@@ -57,7 +56,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 
 	"startvoyager/internal/bench"
 	"startvoyager/internal/stats"
@@ -74,7 +72,6 @@ func main() {
 	faultMsgs := flag.Int("fault-msgs", 30, "reliable messages per fault-matrix cell")
 	faultsJSON := flag.String("faults-json", "", "write the fault matrix's per-cell metrics as one JSON file")
 	parallelN := flag.Int("parallel", 1, "worker goroutines for independent sweep cells (output is byte-identical at any value)")
-	microFile := flag.String("micro", "", "run the microbenchmark suite and write events/sec + allocs/op as JSON")
 	scaleFile := flag.String("scale", "", "run the scale sweep and write bytes/node + sim results as JSON (voyager-scale/v1)")
 	scaleDiff := flag.String("scale-diff", "", "diff the scale sweep's bytes/node against this baseline JSON; exit 1 on >10% regression")
 	nodesFlag := flag.String("nodes", "", "comma-separated node counts for the scale sweep and fig ext-f (e.g. 64,256,1024)")
@@ -113,15 +110,16 @@ func main() {
 		ran = true
 	}
 	if *headlineFile != "" || *diffBase != "" {
+		// Read the baseline before anything writes to its path — -headline
+		// and -diff may point at the same file.
+		baseline := readBaseline("-diff", *diffBase)
 		latencies := bench.HeadlineLatencies(*parallelN)
 		if *headlineFile != "" {
-			write(*headlineFile, func(w io.Writer) error { return writeHeadline(w, latencies) })
+			write(*headlineFile, func(w io.Writer) error { return bench.WriteHeadline(w, latencies) })
 			fmt.Printf("headline: %s\n", *headlineFile)
 		}
-		if *diffBase != "" {
-			if !diffHeadline(*diffBase, latencies) {
-				exit(1)
-			}
+		if baseline != nil && !bench.DiffHeadline(baseline, latencies, os.Stdout) {
+			exit(1)
 		}
 		ran = true
 	}
@@ -136,14 +134,7 @@ func main() {
 	if *scaleFile != "" || *scaleDiff != "" {
 		// Read the baseline before anything writes to its path — -scale and
 		// -scale-diff may legitimately point at the same file.
-		var baseline []byte
-		if *scaleDiff != "" {
-			var err error
-			baseline, err = os.ReadFile(*scaleDiff)
-			if err != nil {
-				log.Fatalf("-scale-diff: %v", err)
-			}
-		}
+		baseline := readBaseline("-scale-diff", *scaleDiff)
 		results := bench.RunScale(bench.ScaleOpts{NodeCounts: nodeCounts})
 		fmt.Print(bench.ScaleTable(results))
 		fmt.Println()
@@ -158,16 +149,6 @@ func main() {
 		if baseline != nil && !bench.DiffScale(baseline, results, os.Stdout) {
 			exit(1)
 		}
-		ran = true
-	}
-	if *microFile != "" {
-		results := bench.MicroBench()
-		write(*microFile, func(w io.Writer) error { return bench.WriteMicro(w, results) })
-		for _, r := range results {
-			fmt.Printf("micro: %-28s %12.1f ns/op %14.0f ops/s %6d allocs/op\n",
-				r.Name, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
-		}
-		fmt.Printf("micro: %s\n", *microFile)
 		ran = true
 	}
 	show := func(name string, fn func()) {
@@ -229,67 +210,17 @@ func main() {
 	exit(0)
 }
 
-// headlineDoc is the on-disk shape of BENCH_baseline.json: the deterministic
-// headline latencies, keyed "<mechanism>_e2e_mean_ns".
-type headlineDoc struct {
-	Schema    string           `json:"schema"`
-	Latencies map[string]int64 `json:"latencies"`
-}
-
-func writeHeadline(w io.Writer, latencies map[string]int64) error {
-	out, err := json.MarshalIndent(headlineDoc{
-		Schema: "voyager-headline/v1", Latencies: latencies,
-	}, "", "  ")
-	if err != nil {
-		return err
+// readBaseline returns the contents of a gate's baseline file, or nil when
+// the gate was not requested (path empty).
+func readBaseline(flagName, path string) []byte {
+	if path == "" {
+		return nil
 	}
-	_, err = w.Write(append(out, '\n'))
-	return err
-}
-
-// diffHeadline compares freshly computed headline latencies against the
-// committed baseline and reports every entry. Returns false — the CI failure
-// signal — when any latency exceeds its baseline by more than 10%.
-func diffHeadline(path string, latencies map[string]int64) bool {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatalf("-diff: %v", err)
+		log.Fatalf("%s: %v", flagName, err)
 	}
-	var base headlineDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		log.Fatalf("-diff %s: %v", path, err)
-	}
-	keys := make([]string, 0, len(base.Latencies))
-	for k := range base.Latencies {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ok := true
-	for _, k := range keys {
-		was := base.Latencies[k]
-		now, found := latencies[k]
-		if !found {
-			fmt.Printf("bench-diff: %-24s MISSING (baseline %dns)\n", k, was)
-			ok = false
-			continue
-		}
-		pct := 100 * float64(now-was) / float64(was)
-		verdict := "ok"
-		if now > was+was/10 {
-			verdict = "REGRESSED"
-			ok = false
-		}
-		fmt.Printf("bench-diff: %-24s %8dns -> %8dns (%+.1f%%) %s\n", k, was, now, pct, verdict)
-	}
-	for k := range latencies {
-		if _, found := base.Latencies[k]; !found {
-			fmt.Printf("bench-diff: %-24s %8dns (new; not in baseline — refresh with make bench-baseline)\n", k, latencies[k])
-		}
-	}
-	if !ok {
-		fmt.Println("bench-diff: FAIL — headline latency regressed >10% (refresh BENCH_baseline.json via make bench-baseline if intentional)")
-	}
-	return ok
+	return raw
 }
 
 // writeFaultRuns renders the fault matrix as one JSON document: a summary

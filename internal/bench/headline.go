@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"sort"
 
 	"startvoyager/internal/core"
 	"startvoyager/internal/sim"
@@ -102,4 +105,70 @@ func HeadlineLatencies(workers int) map[string]int64 {
 		out[mech+"_e2e_mean_ns"] = means[i]
 	}
 	return out
+}
+
+// headlineDoc is the on-disk shape of BENCH_baseline.json: the deterministic
+// headline latencies, keyed "<mechanism>_e2e_mean_ns".
+type headlineDoc struct {
+	Schema    string           `json:"schema"`
+	Latencies map[string]int64 `json:"latencies"`
+}
+
+// WriteHeadline renders latencies as the BENCH_baseline.json document.
+func WriteHeadline(w io.Writer, latencies map[string]int64) error {
+	out, err := json.MarshalIndent(headlineDoc{
+		Schema: "voyager-headline/v1", Latencies: latencies,
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(out, '\n'))
+	return err
+}
+
+// DiffHeadline compares freshly computed headline latencies against the
+// committed baseline document and reports every entry to w. Returns false —
+// the CI failure signal — when the baseline is unreadable, a baseline entry
+// is missing, or any latency exceeds its baseline by more than 10%.
+func DiffHeadline(baseline []byte, latencies map[string]int64, w io.Writer) bool {
+	var base headlineDoc
+	if err := json.Unmarshal(baseline, &base); err != nil {
+		fmt.Fprintf(w, "bench-diff: bad baseline: %v\n", err)
+		return false
+	}
+	ok := true
+	for _, k := range sortedKeys(base.Latencies) {
+		was := base.Latencies[k]
+		now, found := latencies[k]
+		if !found {
+			fmt.Fprintf(w, "bench-diff: %-24s MISSING (baseline %dns)\n", k, was)
+			ok = false
+			continue
+		}
+		pct := 100 * float64(now-was) / float64(was)
+		verdict := "ok"
+		if now > was+was/10 {
+			verdict = "REGRESSED"
+			ok = false
+		}
+		fmt.Fprintf(w, "bench-diff: %-24s %8dns -> %8dns (%+.1f%%) %s\n", k, was, now, pct, verdict)
+	}
+	for _, k := range sortedKeys(latencies) {
+		if _, found := base.Latencies[k]; !found {
+			fmt.Fprintf(w, "bench-diff: %-24s %8dns (new; not in baseline — refresh with make bench-baseline)\n", k, latencies[k])
+		}
+	}
+	if !ok {
+		fmt.Fprintln(w, "bench-diff: FAIL — headline latency regressed >10% (refresh BENCH_baseline.json via make bench-baseline if intentional)")
+	}
+	return ok
+}
+
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

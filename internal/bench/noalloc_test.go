@@ -1,10 +1,41 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"startvoyager/internal/core"
+	"startvoyager/internal/sim"
+)
+
+// BenchmarkNodeBasicMsg is the whole-node benchmark (node/basic-msg): a
+// two-node machine pushing Basic messages through the full aP → CTRL →
+// fabric → CTRL → aP pipeline (the Ext E resident-queue path), one delivered
+// message per op. Run it with `go test -bench NodeBasicMsg ./internal/bench/`.
+func BenchmarkNodeBasicMsg(b *testing.B) {
+	m := core.NewMachine(2)
+	n := b.N
+	buf := []byte{1, 2, 3, 4}
+	m.Go(1, "src", func(p *sim.Proc, a *core.API) {
+		for i := 0; i < n; i++ {
+			a.SendBasic(p, 0, buf)
+		}
+	})
+	got := 0
+	m.Go(0, "dst", func(p *sim.Proc, a *core.API) {
+		for got < n {
+			if _, _, ok := a.TryRecvBasic(p); ok {
+				got++
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run()
+}
 
 // TestBasicMsgChainAllocs pins the allocation budget of the Basic message
 // send/recv chain — the path the //voyager:noalloc annotations and the
-// noalloc analyzer guard. The whole-node benchmark pushes one delivered
+// noalloc analyzer guard. BenchmarkNodeBasicMsg pushes one delivered
 // message per op through aP compose → CTRL launch → fabric → CTRL landing →
 // aP consume; at the growth seed it cost 112 allocs/op, and the pooled
 // records (bus ops, cache transactions, ctrl launch/land state, core slot
@@ -16,7 +47,7 @@ func TestBasicMsgChainAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")
 	}
-	r := testing.Benchmark(benchNodeBasicMsg)
+	r := testing.Benchmark(BenchmarkNodeBasicMsg)
 	const maxAllocs = 20  // measured: 14 allocs/op
 	const maxBytes = 1024 // measured: 336 B/op
 	if got := r.AllocsPerOp(); got > maxAllocs {

@@ -184,7 +184,7 @@ func TestProfiledRunInvariants(t *testing.T) {
 	}
 }
 
-// benchProfiledNodeBasicMsg is benchNodeBasicMsg with the profiler
+// benchProfiledNodeBasicMsg is BenchmarkNodeBasicMsg with the profiler
 // attached: the steady-state accounting cost of the hot hooks (ProcResume,
 // ProcBlock, FramePush/Pop, interval close) on the Basic message chain.
 func benchProfiledNodeBasicMsg(b *testing.B) {

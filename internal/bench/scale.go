@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/cluster"
@@ -22,12 +21,13 @@ import (
 
 // The scale benchmark pins the cost of growing the machine. The paper's
 // whole premise is that Voyager-class studies need *large* configurations,
-// so this file measures what large costs here: per-node heap footprint and
-// construction time at 64/256/1024 nodes (host-side, with bytes/node gated
-// against BENCH_scale.json in CI), plus the depth-dependent simulated
-// behaviour that only exists on deep trees — MPI collectives at scale and
-// credit-backpressure propagating level by level under hotspot traffic.
-// Every simulated-time number is deterministic: same inputs, same bytes.
+// so this file measures what large costs here: per-node heap footprint at
+// 64/256/1024 nodes (bytes/node gated against BENCH_scale.json in CI), plus
+// the depth-dependent simulated behaviour that only exists on deep trees —
+// MPI collectives at scale and credit-backpressure propagating level by
+// level under hotspot traffic. Every simulated-time number is deterministic:
+// same inputs, same bytes. Host time is measured end to end by hostbench/,
+// not here.
 
 // ScaleSchema identifies the BENCH_scale.json document format.
 const ScaleSchema = "voyager-scale/v1"
@@ -123,16 +123,14 @@ type LevelStallsJSON struct {
 
 // ScaleResult is one node count's row of the scale sweep. AllreduceNs,
 // SamplesortNs and HotspotStalls are simulated-time values and fully
-// deterministic; BytesPerNode, ConstructMs and EventsPerSec are host-side
-// measurements (only BytesPerNode is stable enough to gate in CI).
+// deterministic; BytesPerNode and HeapBytes are host-side heap measurements
+// (BytesPerNode is gated in CI).
 type ScaleResult struct {
-	Nodes        int     `json:"nodes"`
-	Levels       int     `json:"levels"` // fat-tree switch levels
-	Links        int     `json:"links"`  // directed links incl. inject/eject
-	BytesPerNode int64   `json:"bytes_per_node"`
-	HeapBytes    int64   `json:"heap_bytes"`     // live heap of one idle machine
-	ConstructMs  float64 `json:"construct_ms"`   // informational, not gated
-	EventsPerSec float64 `json:"events_per_sec"` // informational, not gated
+	Nodes        int   `json:"nodes"`
+	Levels       int   `json:"levels"` // fat-tree switch levels
+	Links        int   `json:"links"`  // directed links incl. inject/eject
+	BytesPerNode int64 `json:"bytes_per_node"`
+	HeapBytes    int64 `json:"heap_bytes"` // live heap of one idle machine
 
 	AllreduceNs   int64             `json:"allreduce_ns"`
 	SamplesortNs  int64             `json:"samplesort_ns"` // 0 = skipped (see SamplesortMaxNodes)
@@ -152,12 +150,9 @@ func RunScale(o ScaleOpts) []ScaleResult {
 
 func scaleOne(n int, o ScaleOpts) ScaleResult {
 	r := ScaleResult{Nodes: n}
-	r.HeapBytes, r.ConstructMs, r.Levels, r.Links = measureFootprint(n)
+	r.HeapBytes, r.Levels, r.Links = measureFootprint(n)
 	r.BytesPerNode = r.HeapBytes / int64(n)
-
-	lat, eps := allreduceRun(n)
-	r.AllreduceNs = int64(lat)
-	r.EventsPerSec = eps
+	r.AllreduceNs = int64(allreduceRun(n))
 	if n <= o.SamplesortMaxNodes {
 		r.SamplesortNs = int64(samplesortTime(n, o.SamplesortKeys))
 	}
@@ -168,18 +163,14 @@ func scaleOne(n int, o ScaleOpts) ScaleResult {
 }
 
 // measureFootprint builds one full machine (firmware services and all) and
-// reports the live heap it retains once construction garbage is collected,
-// plus the wall-clock construction time. Heap deltas are global state, so
-// callers must not run concurrent measurements.
-func measureFootprint(n int) (heapBytes int64, constructMs float64, levels, links int) {
+// reports the live heap it retains once construction garbage is collected.
+// Heap deltas are global state, so callers must not run concurrent
+// measurements.
+func measureFootprint(n int) (heapBytes int64, levels, links int) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	//lint:allow nowalltime host-side construction-cost measurement, never feeds sim state
-	start := time.Now()
 	m := core.NewMachineConfig(cluster.DefaultConfig(n))
-	//lint:allow nowalltime host-side construction-cost measurement, never feeds sim state
-	constructMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
@@ -191,13 +182,12 @@ func measureFootprint(n int) (heapBytes int64, constructMs float64, levels, link
 		levels, links = ft.Levels(), ft.NumLinks()
 	}
 	runtime.KeepAlive(m)
-	return heapBytes, constructMs, levels, links
+	return heapBytes, levels, links
 }
 
 // allreduceRun runs one 8-byte MPI allreduce across all n ranks and returns
-// the simulated completion time of the last rank plus the host events/sec
-// the engine sustained while running it.
-func allreduceRun(n int) (sim.Time, float64) {
+// the simulated completion time of the last rank.
+func allreduceRun(n int) sim.Time {
 	m := core.NewMachine(n)
 	var last sim.Time
 	for r := 0; r < n; r++ {
@@ -209,16 +199,8 @@ func allreduceRun(n int) (sim.Time, float64) {
 			}
 		})
 	}
-	//lint:allow nowalltime host-side throughput measurement, never feeds sim state
-	start := time.Now()
 	m.Run()
-	//lint:allow nowalltime host-side throughput measurement, never feeds sim state
-	wall := time.Since(start).Seconds()
-	var eps float64
-	if wall > 0 {
-		eps = float64(m.Eng.Executed()) / wall
-	}
-	return last, eps
+	return last
 }
 
 // samplesortTime runs the example samplesort workload (local sort, sample
@@ -365,20 +347,16 @@ func ScaleTable(results []ScaleResult) *stats.Table {
 	return t
 }
 
-// ScaleFootprintTable renders the host-side columns — per-node heap bytes,
-// construction wall-clock, and engine throughput. Informational except for
-// bytes/node, which DiffScale gates.
+// ScaleFootprintTable renders the host-side heap columns — per-node bytes,
+// which DiffScale gates, and the whole idle machine's live heap.
 func ScaleFootprintTable(results []ScaleResult) *stats.Table {
 	t := &stats.Table{
-		Title: "scale sweep — host-side footprint and speed (bytes/node gated in CI)",
-		Columns: []string{"nodes", "bytes/node", "total heap (MB)",
-			"construct (ms)", "events/sec"},
+		Title:   "scale sweep — host-side heap footprint (bytes/node gated in CI)",
+		Columns: []string{"nodes", "bytes/node", "total heap (MB)"},
 	}
 	for _, r := range results {
 		t.AddRow(fmt.Sprint(r.Nodes), fmt.Sprint(r.BytesPerNode),
-			fmt.Sprintf("%.1f", float64(r.HeapBytes)/(1<<20)),
-			fmt.Sprintf("%.1f", r.ConstructMs),
-			fmt.Sprintf("%.0f", r.EventsPerSec))
+			fmt.Sprintf("%.1f", float64(r.HeapBytes)/(1<<20)))
 	}
 	return t
 }
@@ -417,9 +395,8 @@ func WriteScale(w io.Writer, results []ScaleResult) error {
 // DiffScale compares fresh results against the committed baseline document
 // and reports every node count to w. Returns false — the CI failure signal —
 // when any bytes/node figure exceeds its baseline by more than 10%. The
-// simulated-time and wall-clock columns are reported but never gated here
-// (allreduce latency shifts are caught by their own tests; wall-clock is
-// host noise).
+// allreduce latency is reported but never gated here (simulated-time shifts
+// are caught by their own tests).
 func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 	var base scaleDoc
 	if err := json.Unmarshal(baseline, &base); err != nil {

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -199,10 +201,37 @@ func TestWriteDiffScale(t *testing.T) {
 	}
 }
 
+// TestCommittedScaleBaselineMatchesSchema: the committed BENCH_scale.json
+// decodes into the scale document with no unknown fields, so the baseline
+// and ScaleResult cannot drift apart.
+func TestCommittedScaleBaselineMatchesSchema(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var doc scaleDoc
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("BENCH_scale.json does not match ScaleResult: %v", err)
+	}
+	if doc.Schema != ScaleSchema {
+		t.Errorf("schema = %q, want %q", doc.Schema, ScaleSchema)
+	}
+	if len(doc.Results) != len(DefaultScaleNodes) {
+		t.Fatalf("baseline has %d rows, want one per default node count %v", len(doc.Results), DefaultScaleNodes)
+	}
+	for i, r := range doc.Results {
+		if r.Nodes != DefaultScaleNodes[i] || r.BytesPerNode <= 0 {
+			t.Errorf("row %d: nodes=%d bytes/node=%d", i, r.Nodes, r.BytesPerNode)
+		}
+	}
+}
+
 // TestScaleFootprintMeasures: the footprint probe reports plausible values
 // on a small machine — positive heap, per-node share, and fat-tree shape.
 func TestScaleFootprintMeasures(t *testing.T) {
-	heap, _, levels, links := measureFootprint(16)
+	heap, levels, links := measureFootprint(16)
 	if heap <= 0 {
 		t.Fatalf("heap delta %d", heap)
 	}
