@@ -98,11 +98,12 @@ faults-check:
 	@echo "faults-check: parallel output is byte-identical to sequential"
 
 # Run every Go benchmark body once (figure benchmarks, kernel hot paths,
-# whole-node message chain) so they keep compiling and completing. Timings
-# are not recorded: host cost is measured end to end by hostbench/, and per
-# kernel path with `go test -bench` at its default benchtime.
+# fat-tree hotspot, whole-node message chain) so they keep compiling and
+# completing. Timings are not recorded: host cost is measured end to end by
+# hostbench/, and per kernel path with `go test -bench` at its default
+# benchtime.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/sim/ ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/sim/ ./internal/arctic/ ./internal/bench/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
 # MPI allreduce/samplesort completion, and the per-level hotspot saturation

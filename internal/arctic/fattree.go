@@ -87,6 +87,7 @@ type FatTree struct {
 	stats   Stats
 	latHist *stats.Histogram // end-to-end delivery latency (ns)
 	faults  *fault.Injector  // nil = fault-free fabric
+	free    []*journey       // recycled journey records
 }
 
 // NewFatTree builds a fabric for numNodes endpoints (rounded up internally
@@ -229,19 +230,29 @@ func (f *FatTree) StallsByLevel() []LevelStalls {
 	return rows
 }
 
-// InFlight counts the packets currently buffered inside the fabric: lane
-// queues, serialized packets blocked on downstream admission, and credit
-// waiters, across every link. Once the event queue has drained (no
-// serialization or flight callbacks outstanding) this is exactly the number
-// of injected-but-undelivered packets, which is what the chaos harness's
-// credit-conservation oracle balances against the injector's drop counters.
+// InFlight counts the packets currently inside the fabric: lane queues, the
+// packet on each wire, serialized packets blocked on downstream admission
+// or endpoint acceptance, and packets waiting to be injected. A packet whose
+// next lane is full sits both in its upstream link's blocked slot and in the
+// downstream link's waiter list; it is counted once, at the blocked slot. So
+// this is exactly the number of launched-but-undelivered packets, which is
+// what the chaos harness's credit-conservation oracle balances against the
+// injector's drop counters.
 func (f *FatTree) InFlight() int {
 	n := 0
 	for _, l := range f.links {
+		if l.wire != nil {
+			n++
+		}
 		for pr := Priority(0); pr < numPriorities; pr++ {
-			n += len(l.queues[pr]) + len(l.waiters[pr])
+			n += len(l.queues[pr])
 			if l.blocked[pr] != nil {
 				n++
+			}
+			for _, r := range l.waiters[pr] {
+				if r.from == nil {
+					n++
+				}
 			}
 		}
 	}
@@ -266,6 +277,8 @@ func (f *FatTree) CheckLanes() error {
 
 // delivered updates delivery counters and emits the per-packet trace event;
 // both acceptance paths (first try and post-Poke retry) funnel through it.
+//
+//voyager:noalloc
 func (f *FatTree) delivered(pkt *Packet) {
 	f.stats.Delivered++
 	f.stats.Bytes += uint64(pkt.Size)
@@ -273,7 +286,7 @@ func (f *FatTree) delivered(pkt *Packet) {
 	f.latHist.ObserveTime(lat)
 	if f.eng.Observed() {
 		f.eng.Instant(pkt.Dst, "net", "deliver",
-			traceFields([]sim.Field{
+			traceFields([]sim.Field{ //voyager:alloc-ok(observed runs trade allocation for visibility)
 				sim.Int("src", pkt.Src), sim.I64("lat_ns", int64(lat)),
 				sim.Int("size", pkt.Size)}, pkt.Trace)...)
 	}
@@ -292,6 +305,8 @@ func (f *FatTree) Attach(node int, ep Endpoint) { f.endpoints[node] = ep }
 
 // digit returns base-k digit at position pos (0 = most significant of n
 // digits) of leaf address p.
+//
+//voyager:noalloc
 func (f *FatTree) digit(p, pos int) int {
 	div := 1
 	for i := 0; i < f.n-1-pos; i++ {
@@ -302,6 +317,8 @@ func (f *FatTree) digit(p, pos int) int {
 
 // setWordDigit returns word w with its digit at position pos (0 = most
 // significant of n-1 digits) replaced by v.
+//
+//voyager:noalloc
 func (f *FatTree) setWordDigit(w, pos, v int) int {
 	div := 1
 	for i := 0; i < f.n-2-pos; i++ {
@@ -311,35 +328,82 @@ func (f *FatTree) setWordDigit(w, pos, v int) int {
 	return w + (v-old)*div
 }
 
-// path computes the deterministic link sequence from src to dst.
-func (f *FatTree) path(src, dst int) []*link {
-	links := []*link{f.inject[src]}
-	lca := f.lcaLevel(src, dst)
-	w := src / f.k // word of the leaf-adjacent switch
-	j := f.digit(src, f.n-1)
-	for l := f.n - 2; l >= lca; l-- { // ascend
+// journey is the one record the fabric keeps per packet, from launch to
+// delivery: the packet, the router state for its next hop, the router
+// pipeline delay of the lane it sits in, and its credit-wait bookkeeping.
+// Every hop re-enqueues the same record, so a packet in flight costs no
+// allocation. Records recycle through FatTree.free, and return there only
+// when their packet is delivered (first try or after Poke) or dropped at a
+// dead destination.
+type journey struct {
+	pkt *Packet
+	// Router position: the switch the packet reaches when its current link
+	// finishes serializing (level cl, word w), the nearest-common-ancestor
+	// level, and whether the packet is still ascending toward it.
+	cl, w, lca int
+	up         bool
+	// readyAt delays serialization start by the router decision latency
+	// without holding the upstream lane (cut-through-style overlap).
+	readyAt sim.Time
+	// While credit-waiting: the upstream link to unblock on admission (nil
+	// at injection) and when the stall began, for stalled-time attribution.
+	from  *link
+	since sim.Time
+}
+
+// startRoute places r's router state at the leaf-adjacent switch above
+// pkt's source, where the injection link delivers it.
+//
+//voyager:noalloc
+func (f *FatTree) startRoute(r *journey, pkt *Packet) {
+	r.pkt = pkt
+	r.lca = f.lcaLevel(pkt.Src, pkt.Dst)
+	r.cl, r.w = f.n-1, pkt.Src/f.k
+	r.up = r.lca < f.n-1
+}
+
+// nextLink returns the link r leaves its current switch on, and moves r's
+// router state to the switch at that link's far end. Packets ascend to the
+// nearest common ancestor on the up-link selected by the source's
+// least-significant digit (so the k leaves under a switch spread across its
+// k up links) — or, under Adaptive, the least-loaded up-link at the moment
+// the packet reaches the switch — then descend following the destination's
+// digits, and leave on the destination's ejection link.
+//
+//voyager:noalloc
+func (f *FatTree) nextLink(r *journey) *link {
+	switch {
+	case r.up:
+		j := f.digit(r.pkt.Src, f.n-1)
 		if f.cfg.Adaptive {
-			j = f.bestUp(l, w)
+			j = f.bestUp(r.cl-1, r.w)
 		}
-		links = append(links, f.up[l][w*f.k+j])
-		w = f.setWordDigit(w, l, j)
+		l := f.up[r.cl-1][r.w*f.k+j]
+		r.cl--
+		r.w = f.setWordDigit(r.w, r.cl, j)
+		r.up = r.cl > r.lca
+		return l
+	case r.cl < f.n-1:
+		i := f.digit(r.pkt.Dst, r.cl)
+		l := f.down[r.cl][r.w*f.k+i]
+		r.w = f.setWordDigit(r.w, r.cl, i)
+		r.cl++
+		return l
+	default:
+		return f.eject[r.pkt.Dst]
 	}
-	for l := lca; l <= f.n-2; l++ { // descend
-		i := f.digit(dst, l)
-		links = append(links, f.down[l][w*f.k+i])
-		w = f.setWordDigit(w, l, i)
-	}
-	return append(links, f.eject[dst])
 }
 
 // bestUp picks the up-link out of switch (l+1, w) with the least queued
 // work (ties broken by port index, keeping the simulation deterministic).
+//
+//voyager:noalloc
 func (f *FatTree) bestUp(l, w int) int {
 	best, bestLoad := 0, int(^uint(0)>>1)
 	for j := 0; j < f.k; j++ {
 		lk := f.up[l][w*f.k+j]
 		load := len(lk.queues[High]) + len(lk.queues[Low])
-		if lk.busy {
+		if lk.wire != nil {
 			load++
 		}
 		if load < bestLoad {
@@ -351,60 +415,92 @@ func (f *FatTree) bestUp(l, w int) int {
 
 // HopCount returns the number of links a packet from src to dst traverses
 // (including injection and ejection links).
-func (f *FatTree) HopCount(src, dst int) int { return len(f.path(src, dst)) }
+func (f *FatTree) HopCount(src, dst int) int {
+	var r journey
+	f.startRoute(&r, &Packet{Src: src, Dst: dst})
+	hops := 2
+	for f.nextLink(&r).kind != lkEject {
+		hops++
+	}
+	return hops
+}
 
 // Inject sends pkt from pkt.Src toward pkt.Dst.
+//
+//voyager:noalloc on fault-free runs; the fault injector's ruling allocates
 func (f *FatTree) Inject(pkt *Packet) {
 	if pkt.Size <= HeaderBytes || pkt.Size > MaxPacketBytes {
-		panic(fmt.Sprintf("arctic: bad packet size %d", pkt.Size))
+		panic(fmt.Sprintf("arctic: bad packet size %d", pkt.Size)) //voyager:alloc-ok(panic path)
 	}
 	if pkt.Dst < 0 || pkt.Dst >= f.nodes || pkt.Src < 0 || pkt.Src >= f.nodes {
-		panic(fmt.Sprintf("arctic: bad src/dst %d->%d", pkt.Src, pkt.Dst))
+		panic(fmt.Sprintf("arctic: bad src/dst %d->%d", pkt.Src, pkt.Dst)) //voyager:alloc-ok(panic path)
 	}
 	pkt.injected = f.eng.Now()
 	f.stats.Injected++
 	f.stats.ByPri[pkt.Priority]++
 	if f.eng.Observed() {
 		f.eng.Instant(pkt.Src, "net", "inject",
-			traceFields([]sim.Field{
+			traceFields([]sim.Field{ //voyager:alloc-ok(observed runs trade allocation for visibility)
 				sim.Int("dst", pkt.Dst), sim.Int("size", pkt.Size),
 				sim.Str("pri", pkt.Priority.String())}, pkt.Trace)...)
 	}
 	if f.faults != nil {
-		launch, delay := judgeFault(f.faults, pkt, func(dup *Packet) {
-			f.stats.Injected++
-			f.stats.ByPri[dup.Priority]++
-		})
-		if len(launch) == 0 && f.eng.Observed() && pkt.Trace.Traced() {
-			f.eng.Instant(pkt.Src, "net", "msg-drop",
-				traceFields([]sim.Field{sim.Str("why", "fault")}, pkt.Trace)...)
-		}
-		for _, lp := range launch {
-			lp := lp
-			if delay > 0 {
-				f.eng.Schedule(delay, func() { f.launch(lp) })
-			} else {
-				f.launch(lp)
-			}
-		}
+		f.injectFaulty(pkt) //voyager:alloc-ok(fault-injected runs: the injector's ruling allocates)
 		return
 	}
 	f.launch(pkt)
 }
 
-// launch enters a (fault-approved) packet into the routed fabric.
-func (f *FatTree) launch(pkt *Packet) {
-	if f.cfg.Adaptive {
-		lca := f.lcaLevel(pkt.Src, pkt.Dst)
-		entry := &linkEntry{pkt: pkt}
-		entry.advance = func(from *link) {
-			f.adaptiveStep(pkt, f.n-1, pkt.Src/f.k, lca, lca < f.n-1, from)
-		}
-		f.inject[pkt.Src].enqueueOrWait(entry, nil)
-		return
+// injectFaulty applies the fault injector's ruling to pkt and launches what
+// survives it (the packet, possibly corrupted, and a duplicate), each after
+// the ruled delay.
+func (f *FatTree) injectFaulty(pkt *Packet) {
+	launch, delay := judgeFault(f.faults, pkt, func(dup *Packet) {
+		f.stats.Injected++
+		f.stats.ByPri[dup.Priority]++
+	})
+	if len(launch) == 0 && f.eng.Observed() && pkt.Trace.Traced() {
+		f.eng.Instant(pkt.Src, "net", "msg-drop",
+			traceFields([]sim.Field{sim.Str("why", "fault")}, pkt.Trace)...)
 	}
-	route := f.path(pkt.Src, pkt.Dst)
-	f.walk(pkt, route, 0, nil)
+	for _, lp := range launch {
+		lp := lp
+		if delay > 0 {
+			f.eng.Schedule(delay, func() { f.launch(lp) })
+		} else {
+			f.launch(lp)
+		}
+	}
+}
+
+// launch enters a (fault-approved) packet into the routed fabric.
+//
+//voyager:noalloc
+func (f *FatTree) launch(pkt *Packet) {
+	r := f.acquire()
+	f.startRoute(r, pkt)
+	f.inject[pkt.Src].enqueueOrWait(r, nil)
+}
+
+// acquire takes a journey record off the free list.
+//
+//voyager:noalloc
+func (f *FatTree) acquire() *journey {
+	if n := len(f.free); n > 0 {
+		r := f.free[n-1]
+		f.free = f.free[:n-1]
+		return r
+	}
+	return &journey{} //voyager:alloc-ok(free-list miss: records are recycled at delivery)
+}
+
+// release returns the record of a delivered or dead-dropped packet to the
+// free list.
+//
+//voyager:noalloc
+func (f *FatTree) release(r *journey) {
+	*r = journey{}
+	f.free = append(f.free, r) //voyager:alloc-ok(amortized: the free list's backing array is retained)
 }
 
 // InjectReady reports whether node's injection link can take more traffic
@@ -420,6 +516,8 @@ func (f *FatTree) InjectReady(node int, pri Priority) bool {
 func (f *FatTree) SetReadyHook(node int, fn func()) { f.readyHooks[node] = fn }
 
 // lcaLevel returns the nearest-common-ancestor switch level of two leaves.
+//
+//voyager:noalloc
 func (f *FatTree) lcaLevel(src, dst int) int {
 	for pos := 0; pos < f.n-1; pos++ {
 		if f.digit(src, pos) != f.digit(dst, pos) {
@@ -429,49 +527,13 @@ func (f *FatTree) lcaLevel(src, dst int) int {
 	return f.n - 1
 }
 
-// adaptiveStep routes one hop at a time, choosing the least-loaded up link
-// at each ascent — the decision is made when the packet actually reaches
-// the switch, not at injection.
-func (f *FatTree) adaptiveStep(pkt *Packet, cl, w, lca int, ascending bool, from *link) {
-	rdy := f.eng.Now() + f.cfg.RouterLatency
-	switch {
-	case ascending && cl > lca:
-		j := f.bestUp(cl-1, w)
-		nw := f.setWordDigit(w, cl-1, j)
-		nl := cl - 1
-		entry := &linkEntry{pkt: pkt, readyAt: rdy}
-		entry.advance = func(from *link) { f.adaptiveStep(pkt, nl, nw, lca, nl > lca, from) }
-		f.up[cl-1][w*f.k+j].enqueueOrWait(entry, from)
-	case cl < f.n-1:
-		i := f.digit(pkt.Dst, cl)
-		nw := f.setWordDigit(w, cl, i)
-		nl := cl + 1
-		entry := &linkEntry{pkt: pkt, readyAt: rdy}
-		entry.advance = func(from *link) { f.adaptiveStep(pkt, nl, nw, lca, false, from) }
-		f.down[cl][w*f.k+i].enqueueOrWait(entry, from)
-	default:
-		f.eject[pkt.Dst].enqueueOrWait(&linkEntry{pkt: pkt, readyAt: rdy}, from)
-	}
-}
-
-// walk enqueues pkt on route[hop] and continues the traversal as each hop
-// admits it.
-func (f *FatTree) walk(pkt *Packet, route []*link, hop int, from *link) {
-	entry := &linkEntry{pkt: pkt}
-	if hop > 0 {
-		entry.readyAt = f.eng.Now() + f.cfg.RouterLatency
-	}
-	if hop+1 < len(route) {
-		entry.advance = func(from *link) { f.walk(pkt, route, hop+1, from) }
-	}
-	route[hop].enqueueOrWait(entry, from)
-}
-
 // Poke retries deliveries previously refused by node's endpoint.
 func (f *FatTree) Poke(node int) { f.eject[node].poke() }
 
 // serTime returns link serialization time for a packet of size bytes,
 // rounded up to whole flits.
+//
+//voyager:noalloc
 func (f *FatTree) serTime(size int) sim.Time {
 	flits := (size + f.cfg.FlitBytes - 1) / f.cfg.FlitBytes
 	return sim.Time(flits) * f.cfg.FlitTime
@@ -488,18 +550,25 @@ type link struct {
 	// Compact identity: kind plus either the owning node (inject/eject) or
 	// the (level, word, port) coordinate (up/down). The human-readable name
 	// is derived on demand by name().
-	kind   uint8
-	lvl    int16
-	port   int16
-	word   int32
-	node   int32 // owning node for inject/eject links
-	queues [numPriorities][]*linkEntry
+	kind uint8
+	lvl  int16
+	port int16
+	word int32
+	node int32 // owning node for inject/eject links
+	// Lanes and waiter lists are FIFOs that shift in place, so their
+	// backing arrays are reused for the life of the link.
+	queues [numPriorities][]*journey
 	// blocked holds a serialized packet awaiting downstream admission (or
 	// endpoint acceptance); its lane cannot serialize further packets.
-	blocked [numPriorities]*linkEntry
-	// waiters are upstream packets waiting for a lane slot here.
-	waiters [numPriorities][]*creditWaiter
-	busy    bool
+	blocked [numPriorities]*journey
+	// waiters are packets waiting for a lane slot here: upstream links'
+	// blocked packets, or packets waiting to be injected.
+	waiters [numPriorities][]*journey
+	// wire is the packet being serialized; the link is busy while it is set.
+	wire *journey
+	// kickFn and serDoneFn are the link's event callbacks, bound the first
+	// time the link carries traffic so idle links cost no closure.
+	kickFn, serDoneFn func()
 
 	// Per-link telemetry: wire occupancy, and credit stalls — packets that
 	// found their lane full and had to wait for a slot. stallCnt.Events
@@ -509,22 +578,6 @@ type link struct {
 	// per-window utilization and credit-stall series voyager-stats renders.
 	busyNs   sim.Time
 	stallCnt stats.Counter
-}
-
-type linkEntry struct {
-	pkt *Packet
-	// advance moves the packet to its next hop (nil on the ejection hop);
-	// it receives the link it is leaving so admission can unblock it.
-	advance func(from *link)
-	// readyAt delays serialization start by the router decision latency
-	// without holding the upstream lane (cut-through-style overlap).
-	readyAt sim.Time
-}
-
-type creditWaiter struct {
-	entry *linkEntry
-	from  *link    // upstream link to unblock on admission (nil at injection)
-	since sim.Time // when the stall began, for stalled-time attribution
 }
 
 // Link kinds (see link.kind).
@@ -559,12 +612,23 @@ func (l *link) name() string {
 	}
 }
 
+// popFront removes the head of a FIFO by shifting the rest down in place.
+//
+//voyager:noalloc
+func popFront(q []*journey) []*journey {
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
+}
+
 // enqueueOrWait admits the packet if the lane has room, otherwise registers
 // it as a credit waiter; from (if non-nil) stays blocked until admission.
-func (l *link) enqueueOrWait(e *linkEntry, from *link) {
-	pr := e.pkt.Priority
+//
+//voyager:noalloc
+func (l *link) enqueueOrWait(r *journey, from *link) {
+	pr := r.pkt.Priority
 	if len(l.queues[pr]) < l.f.cfg.LaneCapacity {
-		l.queues[pr] = append(l.queues[pr], e)
+		l.queues[pr] = append(l.queues[pr], r) //voyager:alloc-ok(amortized: the lane grows once to LaneCapacity)
 		if from != nil {
 			from.unblock(pr)
 		}
@@ -573,11 +637,14 @@ func (l *link) enqueueOrWait(e *linkEntry, from *link) {
 		return
 	}
 	l.stallCnt.Events++
-	l.waiters[pr] = append(l.waiters[pr], &creditWaiter{entry: e, from: from, since: l.f.eng.Now()})
+	r.from, r.since = from, l.f.eng.Now()
+	l.waiters[pr] = append(l.waiters[pr], r) //voyager:alloc-ok(amortized: the waiter list's backing array is retained)
 }
 
 // unblock clears the lane's downstream-wait state and restarts the
 // serializer.
+//
+//voyager:noalloc
 func (l *link) unblock(pr Priority) {
 	l.blocked[pr] = nil
 	l.kick()
@@ -586,92 +653,120 @@ func (l *link) unblock(pr Priority) {
 // kick starts serializing the next eligible packet, High lane first; a lane
 // with a packet still awaiting downstream admission (or endpoint
 // acceptance) is skipped.
+//
+//voyager:noalloc
 func (l *link) kick() {
-	if l.busy {
+	if l.wire != nil {
 		return
 	}
 	for pr := Priority(0); pr < numPriorities; pr++ {
 		if l.blocked[pr] != nil || len(l.queues[pr]) == 0 {
 			continue
 		}
-		entry := l.queues[pr][0]
-		if entry.readyAt > l.f.eng.Now() {
+		if l.kickFn == nil {
+			l.kickFn = l.kick       //voyager:alloc-ok(lazy callback binding, once per link that carries traffic)
+			l.serDoneFn = l.serDone //voyager:alloc-ok(lazy callback binding, once per link that carries traffic)
+		}
+		r := l.queues[pr][0]
+		if r.readyAt > l.f.eng.Now() {
 			// The head is still in the router pipeline; try again when it
 			// emerges (the other lane may proceed meanwhile).
-			l.f.eng.At(entry.readyAt, l.kick)
+			l.f.eng.At(r.readyAt, l.kickFn)
 			continue
 		}
-		l.queues[pr] = l.queues[pr][1:]
+		l.queues[pr] = popFront(l.queues[pr])
+		// The wire is taken before the freed slot is offered to a waiter,
+		// so nothing the admission runs can start a second serialization.
+		l.wire = r
 		l.admitWaiter(pr)
-		l.busy = true
-		l.busyNs += l.f.serTime(entry.pkt.Size)
-		l.f.eng.Schedule(l.f.serTime(entry.pkt.Size), func() {
-			l.busy = false
-			l.afterSer(entry)
-			l.kick()
-		})
+		ser := l.f.serTime(r.pkt.Size)
+		l.busyNs += ser
+		l.f.eng.Schedule(ser, l.serDoneFn)
 		return
 	}
 }
 
+// serDone runs when the wire is done with its packet.
+//
+//voyager:noalloc
+func (l *link) serDone() {
+	r := l.wire
+	l.wire = nil
+	l.afterSer(r)
+	l.kick()
+}
+
 // admitWaiter moves one credit waiter into the freed lane slot.
+//
+//voyager:noalloc
 func (l *link) admitWaiter(pr Priority) {
 	if len(l.waiters[pr]) == 0 {
 		l.maybeReady()
 		return
 	}
-	w := l.waiters[pr][0]
-	l.waiters[pr] = l.waiters[pr][1:]
-	l.stallCnt.Amount += uint64(l.f.eng.Now() - w.since)
-	l.queues[pr] = append(l.queues[pr], w.entry)
-	if w.from != nil {
-		w.from.unblock(pr)
+	r := l.waiters[pr][0]
+	l.waiters[pr] = popFront(l.waiters[pr])
+	l.stallCnt.Amount += uint64(l.f.eng.Now() - r.since)
+	l.queues[pr] = append(l.queues[pr], r) //voyager:alloc-ok(amortized: the lane grows once to LaneCapacity)
+	from := r.from
+	r.from = nil
+	if from != nil {
+		from.unblock(pr)
 	}
 	l.maybeReady()
 }
 
 // afterSer runs when the wire is done with the packet: deliver (ejection)
 // or advance toward the next hop, blocking the lane until it is accepted.
-func (l *link) afterSer(e *linkEntry) {
-	pr := e.pkt.Priority
-	if l.kind == lkEject {
-		if l.f.faults != nil && l.f.faults.DropOnDelivery(e.pkt.Dst) {
-			l.f.dropDead(e.pkt)
-			return // dead destination: the packet dies, the lane stays free
-		}
-		ep := l.f.endpoints[l.node]
-		if ep == nil {
-			panic("arctic: delivery to unattached node " + l.name())
-		}
-		if ep.TryDeliver(e.pkt) {
-			l.f.delivered(e.pkt)
-			return
-		}
-		l.f.stats.Refusals++
-		l.blocked[pr] = e
+//
+//voyager:noalloc
+func (l *link) afterSer(r *journey) {
+	pr := r.pkt.Priority
+	if l.kind != lkEject {
+		l.blocked[pr] = r
+		r.readyAt = l.f.eng.Now() + l.f.cfg.RouterLatency
+		l.f.nextLink(r).enqueueOrWait(r, l)
 		return
 	}
-	l.blocked[pr] = e
-	e.advance(l)
+	if l.f.faults != nil && l.f.faults.DropOnDelivery(r.pkt.Dst) { //voyager:alloc-ok(fault-injected runs consult the injector)
+		l.f.dropDead(r.pkt) //voyager:alloc-ok(fault-injected runs trace the drop)
+		l.f.release(r)
+		return // dead destination: the packet dies, the lane stays free
+	}
+	ep := l.f.endpoints[l.node]
+	if ep == nil {
+		panic("arctic: delivery to unattached node " + l.name()) //voyager:alloc-ok(panic path)
+	}
+	if ep.TryDeliver(r.pkt) { //voyager:alloc-ok(endpoint dispatch: the node's receive path is pinned by its own budget test)
+		l.f.delivered(r.pkt)
+		l.f.release(r)
+		return
+	}
+	l.f.stats.Refusals++
+	l.blocked[pr] = r
 }
 
 // poke retries endpoint delivery of stalled packets (ejection links).
+//
+//voyager:noalloc
 func (l *link) poke() {
 	progressed := false
 	for pr := Priority(0); pr < numPriorities; pr++ {
-		e := l.blocked[pr]
-		if e == nil {
+		r := l.blocked[pr]
+		if r == nil {
 			continue
 		}
-		if l.f.faults != nil && l.f.faults.DropOnDelivery(e.pkt.Dst) {
+		if l.f.faults != nil && l.f.faults.DropOnDelivery(r.pkt.Dst) { //voyager:alloc-ok(fault-injected runs consult the injector)
 			l.blocked[pr] = nil
-			l.f.dropDead(e.pkt)
+			l.f.dropDead(r.pkt) //voyager:alloc-ok(fault-injected runs trace the drop)
+			l.f.release(r)
 			progressed = true
 			continue
 		}
-		if l.f.endpoints[l.node].TryDeliver(e.pkt) {
+		if l.f.endpoints[l.node].TryDeliver(r.pkt) { //voyager:alloc-ok(endpoint dispatch: the node's receive path is pinned by its own budget test)
 			l.blocked[pr] = nil
-			l.f.delivered(e.pkt)
+			l.f.delivered(r.pkt)
+			l.f.release(r)
 			progressed = true
 		} else {
 			l.f.stats.Refusals++
@@ -684,6 +779,8 @@ func (l *link) poke() {
 
 // maybeReady fires the node's injection-ready hook when an injection link
 // regains room (the NIU-side flow control signal).
+//
+//voyager:noalloc
 func (l *link) maybeReady() {
 	if l.kind != lkInject {
 		return
@@ -695,6 +792,8 @@ func (l *link) maybeReady() {
 }
 
 // injectReady reports whether the lane can take another packet.
+//
+//voyager:noalloc
 func (l *link) injectReady(pr Priority) bool {
 	return len(l.queues[pr]) < l.f.cfg.LaneCapacity && len(l.waiters[pr]) == 0
 }

@@ -21,6 +21,8 @@ const (
 )
 
 // String returns "high" or "low".
+//
+//voyager:noalloc
 func (p Priority) String() string {
 	if p == High {
 		return "high"
