@@ -152,6 +152,8 @@ var noallocAllowlist = map[string]bool{
 	"(encoding/binary.bigEndian).PutUint16":         true,
 	"(encoding/binary.bigEndian).PutUint32":         true,
 	"(encoding/binary.bigEndian).PutUint64":         true,
+	// Bit scans: compiler intrinsics on a register (event-queue bitmap).
+	"math/bits.TrailingZeros64": true,
 }
 
 // hasNoallocDirective reports whether the function's doc comment carries the

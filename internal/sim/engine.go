@@ -35,96 +35,12 @@ func (t Time) String() string {
 	}
 }
 
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-// before reports whether a orders ahead of b. (at, seq) is a strict total
-// order — seq is unique and monotonic — so the pop sequence of any correct
-// min-heap over it is identical, which is what keeps this rewrite
-// bit-compatible with the old container/heap implementation.
-//
-//voyager:noalloc
-func (a *event) before(b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// eventHeap is a value-based 4-ary min-heap ordered by (at, seq). Events are
-// stored inline (no per-push pointer allocation, no interface{} boxing), the
-// backing array is retained across pops, and the 4-ary layout halves tree
-// height versus a binary heap — sift-downs touch fewer cache lines on the
-// deep queues the full-machine models build.
-type eventHeap []event
-
-// push appends ev and sifts it up to its heap position. The new event is
-// held aside while ancestors shift down, so each level costs one event copy
-// rather than a swap's three.
-//
-//voyager:noalloc
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev) //voyager:alloc-ok(amortized: heap backing array is retained across pops)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
-	*h = s
-}
-
-// pop removes and returns the minimum event. The displaced last element is
-// held aside while the smallest children shift up, then placed once.
-//
-//voyager:noalloc
-func (h *eventHeap) pop() event {
-	s := *h
-	root := s[0]
-	n := len(s) - 1
-	moved := s[n]
-	s[n] = event{} // release the closure so the GC can collect it
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return root
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		min := first
-		for c := first + 1; c < last; c++ {
-			if s[c].before(&s[min]) {
-				min = c
-			}
-		}
-		if !s[min].before(&moved) {
-			break
-		}
-		s[i] = s[min]
-		i = min
-	}
-	s[i] = moved
-	return root
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  eventQueue
 	nEvents uint64 // total events executed
 
 	procs   int // live Procs
@@ -196,7 +112,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now)) //voyager:alloc-ok(panic path)
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(e.now, event{at: t, seq: e.seq, fn: fn})
 }
 
 // SetTimerHook arms the engine's single out-of-band timer: fn is invoked
@@ -239,13 +155,25 @@ func (e *Engine) fireHooks(t Time) {
 //
 //voyager:noalloc
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	at, src := e.events.peek(e.now)
+	if src == queueEmpty {
 		return false
 	}
-	if e.hookFn != nil && e.events[0].at >= e.hookAt {
-		e.fireHooks(e.events[0].at)
+	e.exec(at, src)
+	return true
+}
+
+// exec runs the earliest pending event, which peek found at time at in src.
+//
+//voyager:noalloc
+func (e *Engine) exec(at Time, src int) {
+	if e.hookFn != nil && at >= e.hookAt {
+		e.fireHooks(at)
+		// Hooks are observation-only; looking again keeps the pop order of
+		// the queue even for one that schedules.
+		_, src = e.events.peek(e.now)
 	}
-	ev := e.events.pop()
+	ev := e.events.take(src)
 	e.now = ev.at
 	e.nEvents++
 	ev.fn()
@@ -254,7 +182,6 @@ func (e *Engine) Step() bool {
 		e.panicVal = nil
 		panic(v)
 	}
-	return true
 }
 
 // Run executes events until none remain.
@@ -269,8 +196,12 @@ func (e *Engine) Run() {
 //
 //voyager:noalloc
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
+	for {
+		at, src := e.events.peek(e.now)
+		if src == queueEmpty || at > t {
+			break
+		}
+		e.exec(at, src)
 	}
 	if e.hookFn != nil && e.hookAt <= t {
 		e.fireHooks(t)
@@ -288,11 +219,11 @@ func (e *Engine) RunLimit(n uint64) bool {
 			return true
 		}
 	}
-	return len(e.events) == 0
+	return e.events.len() == 0
 }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.events.len() }
 
 // BlockedProcs returns the number of live Procs currently blocked on a Cond
 // with no scheduled wakeup. If Run returns while this is nonzero the modeled

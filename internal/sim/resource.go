@@ -50,6 +50,7 @@ func (r *Resource) Observe(node int, component string) {
 	r.waitersName = r.name + "-waiters"
 }
 
+//voyager:noalloc
 func (r *Resource) grant() {
 	r.busy = true
 	r.busySince = r.eng.now
@@ -61,19 +62,23 @@ func (r *Resource) grant() {
 
 // Acquire requests the resource; granted runs (as an engine event) once the
 // resource is exclusively held by the caller.
+//
+//voyager:noalloc
 func (r *Resource) Acquire(granted func()) {
 	if !r.busy {
 		r.grant()
 		r.eng.Schedule(0, granted)
 		return
 	}
-	r.queue = append(r.queue, granted)
+	r.queue = append(r.queue, granted) //voyager:alloc-ok(amortized: waiter queue backing array is retained)
 	if r.observed {
 		r.eng.Sample(r.obsNode, r.obsComp, r.waitersName, int64(len(r.queue)))
 	}
 }
 
 // Release relinquishes the resource, granting it to the next waiter if any.
+//
+//voyager:noalloc
 func (r *Resource) Release() {
 	if !r.busy {
 		panic("sim: release of idle resource " + r.name)
@@ -86,7 +91,12 @@ func (r *Resource) Release() {
 	}
 	if len(r.queue) > 0 {
 		next := r.queue[0]
-		r.queue = r.queue[1:]
+		// Pop by copy-down, not reslice: sliding the head would walk the
+		// backing array forward and force a reallocation on a later append.
+		n := len(r.queue)
+		copy(r.queue, r.queue[1:])
+		r.queue[n-1] = nil
+		r.queue = r.queue[:n-1]
 		if r.observed {
 			r.eng.Sample(r.obsNode, r.obsComp, r.waitersName, int64(len(r.queue)))
 		}

@@ -95,14 +95,14 @@ func (e *Engine) Stalled(kind StallKind, budget Time, expectedLive int) *StallEr
 		Kind:          kind,
 		Now:           e.now,
 		Budget:        budget,
-		PendingEvents: len(e.events),
+		PendingEvents: e.events.len(),
 		Executed:      e.nEvents,
 		LiveProcs:     e.procs,
 		CondBlocked:   e.blocked,
 		ExpectedProcs: expectedLive,
 	}
-	if len(e.events) > 0 {
-		se.NextEventAt = e.events[0].at
+	if at, src := e.events.peek(e.now); src != queueEmpty {
+		se.NextEventAt = at
 	}
 	for _, c := range e.conds {
 		name := c.name
@@ -135,7 +135,7 @@ func (e *Engine) RunBudget(budget Time, expectedLive int) *StallError {
 // RunBudget); callers that drive RunUntil in slices — scraping metrics at
 // each boundary — invoke it once the final slice lands.
 func (e *Engine) BudgetCheck(budget Time, expectedLive int) *StallError {
-	if len(e.events) > 0 {
+	if e.events.len() > 0 {
 		return e.Stalled(StallBudget, budget, expectedLive)
 	}
 	if e.procs > expectedLive {
