@@ -6,6 +6,7 @@ import (
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/bus"
+	"startvoyager/internal/mem"
 	"startvoyager/internal/niu/biu"
 	"startvoyager/internal/niu/ctrl"
 	"startvoyager/internal/niu/sram"
@@ -46,7 +47,7 @@ type fwRig struct {
 	c   *ctrl.Ctrl
 	fw  *Engine
 	a   *biu.ABIU
-	sS  *sram.SRAM
+	sS  *mem.Store
 }
 
 type nullNet struct{}
@@ -58,8 +59,8 @@ func (nullNet) Ready(arctic.Priority) bool                      { return true }
 func newFwRig(t *testing.T) *fwRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	aS := sram.New("a", 64<<10)
-	sS := sram.New("s", 64<<10)
+	aS := mem.NewStore("a", 64<<10)
+	sS := mem.NewStore("s", 64<<10)
 	cls := sram.NewCls(64)
 	b := bus.New(eng, "b", bus.DefaultConfig())
 	ccfg := ctrl.DefaultConfig()

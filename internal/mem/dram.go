@@ -1,13 +1,14 @@
-// Package mem models a node's DRAM behind the stock memory controller. The
-// controller claims bus transactions falling in its range and services them
-// with a fixed access latency. A zero-time backdoor lets workload setup and
-// test verification touch memory without perturbing simulated timing.
+// Package mem holds a node's byte memories. Store is the paged,
+// zero-preserving backing shared by DRAM and the NIU's aSRAM/sSRAM banks: a
+// page materializes on its first write, and untouched bytes read as zeros,
+// exactly what a dense zero-initialized array would return. This keeps a
+// node's host footprint proportional to the memory its software actually
+// touches, so thousand-node machines fit in RAM.
 //
-// Backing storage is paged and demand-allocated: a page materializes on its
-// first write, and reads of never-written pages observe zeros — exactly what
-// a dense zero-initialized array would return. This keeps a node's host
-// footprint proportional to the memory its software actually touches, so
-// thousand-node machines fit in RAM (ROADMAP item 2).
+// DRAM models main memory behind the stock memory controller. The controller
+// claims bus transactions falling in its range and services them with a fixed
+// access latency. A zero-time backdoor lets workload setup and test
+// verification touch memory without perturbing simulated timing.
 package mem
 
 import (
@@ -18,21 +19,17 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// Backing-page geometry. 64 KB keeps the page table tiny (8 bytes per page —
-// 2 KB for a 16 MB node) while a queue-only workload still touches just a
-// handful of pages.
-const (
-	pageShift = 16
-	pageSize  = 1 << pageShift
-)
-
 // DRAM is main memory plus its controller, attached to a node bus.
 type DRAM struct {
-	rng      bus.Range
-	pages    [][]byte // demand-allocated; nil pages read as zeros
-	resident int      // pages materialized so far
-	latency  sim.Time
-	aliases  []alias
+	rng     bus.Range
+	store   *Store
+	latency sim.Time
+	aliases []alias
+
+	// Snoop serve staging: the bus serializes transactions, so the claimed
+	// operation is always served before the next snoop can restage srvOff.
+	srvOff  uint32
+	serveFn func(*bus.Transaction)
 
 	reads, writes uint64
 }
@@ -47,8 +44,9 @@ type alias struct {
 
 // New creates size bytes of DRAM at base with the given first-access latency.
 func New(rng bus.Range, latency sim.Time) *DRAM {
-	numPages := (uint64(rng.Size) + pageSize - 1) >> pageShift
-	return &DRAM{rng: rng, pages: make([][]byte, numPages), latency: latency}
+	d := &DRAM{rng: rng, store: NewStore("dram", int(rng.Size)), latency: latency}
+	d.serveFn = d.serve
+	return d
 }
 
 // DeviceName implements bus.Device.
@@ -56,10 +54,6 @@ func (d *DRAM) DeviceName() string { return "dram" }
 
 // Range returns the address range this controller claims.
 func (d *DRAM) Range() bus.Range { return d.rng }
-
-// ResidentBytes returns the host bytes materialized for backing storage —
-// the demand-paged footprint, as opposed to the modeled capacity Range().Size.
-func (d *DRAM) ResidentBytes() int { return d.resident * pageSize }
 
 // AddAlias makes the controller also claim rng, serving it from the backing
 // array starting at offset toBase. Used to back the S-COMA window with DRAM
@@ -72,6 +66,8 @@ func (d *DRAM) AddAlias(rng bus.Range, toBase uint32) {
 }
 
 // resolve maps a claimed bus address to a backing-array offset.
+//
+//voyager:noalloc
 func (d *DRAM) resolve(addr uint32) (uint32, bool) {
 	if d.rng.Contains(addr) {
 		return d.rng.Offset(addr), true
@@ -84,77 +80,33 @@ func (d *DRAM) resolve(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
-// readAt copies backing bytes at off into buf, clamped to the modeled size;
-// unmaterialized pages read as zeros.
-func (d *DRAM) readAt(off uint32, buf []byte) {
-	if rem := uint64(d.rng.Size) - uint64(off); uint64(len(buf)) > rem {
-		buf = buf[:rem]
-	}
-	for len(buf) > 0 {
-		po := off & (pageSize - 1)
-		n := pageSize - int(po)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if pg := d.pages[off>>pageShift]; pg != nil {
-			copy(buf[:n], pg[po:])
-		} else {
-			for i := range buf[:n] {
-				buf[i] = 0
-			}
-		}
-		off += uint32(n)
-		buf = buf[n:]
-	}
-}
-
-// writeAt copies buf into backing storage at off, clamped to the modeled
-// size, materializing pages as needed.
-func (d *DRAM) writeAt(off uint32, data []byte) {
-	if rem := uint64(d.rng.Size) - uint64(off); uint64(len(data)) > rem {
-		data = data[:rem]
-	}
-	for len(data) > 0 {
-		po := off & (pageSize - 1)
-		n := pageSize - int(po)
-		if n > len(data) {
-			n = len(data)
-		}
-		pg := d.pages[off>>pageShift]
-		if pg == nil {
-			pg = make([]byte, pageSize)
-			d.pages[off>>pageShift] = pg
-			d.resident++
-		}
-		copy(pg[po:], data[:n])
-		off += uint32(n)
-		data = data[n:]
-	}
-}
-
-// SnoopBus claims transactions in range and services them from the array.
+// SnoopBus claims transactions in range and services them from the store.
+//
+//voyager:noalloc
 func (d *DRAM) SnoopBus(tx *bus.Transaction) bus.Snoop {
 	if tx.Kind == bus.Kill {
 		return bus.Snoop{}
 	}
-	offset, ok := d.resolve(tx.Addr)
+	off, ok := d.resolve(tx.Addr)
 	if !ok {
 		return bus.Snoop{}
 	}
-	return bus.Snoop{
-		Action:  bus.Claim,
-		Latency: d.latency,
-		Serve: func(tx *bus.Transaction) {
-			off := offset
-			switch tx.Kind {
-			case bus.ReadLine, bus.ReadLineX, bus.ReadWord:
-				d.readAt(off, tx.Data)
-				d.reads++
-			case bus.WriteLine, bus.WriteWord:
-				d.writeAt(off, tx.Data)
-				d.writes++
-			}
-		},
+	d.srvOff = off
+	return bus.Snoop{Action: bus.Claim, Latency: d.latency, Serve: d.serveFn}
+}
+
+// serve moves the claimed transaction's data, clamped to the modeled size.
+//
+//voyager:noalloc
+func (d *DRAM) serve(tx *bus.Transaction) {
+	data := tx.Data[:min(uint64(len(tx.Data)), uint64(d.rng.Size)-uint64(d.srvOff))]
+	switch tx.Kind {
+	case bus.ReadLine, bus.ReadLineX, bus.ReadWord:
+		d.store.Read(d.srvOff, data)
+		d.reads++
+	case bus.WriteLine, bus.WriteWord:
+		d.store.Write(d.srvOff, data)
+		d.writes++
 	}
 }
 
@@ -169,14 +121,12 @@ func (d *DRAM) RegisterMetrics(r *stats.Registry) {
 
 // Peek copies memory at addr into buf without consuming simulated time.
 func (d *DRAM) Peek(addr uint32, buf []byte) {
-	off := d.mustOffset(addr, len(buf))
-	d.readAt(off, buf)
+	d.store.Read(d.mustOffset(addr, len(buf)), buf)
 }
 
 // Poke writes buf at addr without consuming simulated time.
 func (d *DRAM) Poke(addr uint32, buf []byte) {
-	off := d.mustOffset(addr, len(buf))
-	d.writeAt(off, buf)
+	d.store.Write(d.mustOffset(addr, len(buf)), buf)
 }
 
 func (d *DRAM) mustOffset(addr uint32, n int) uint32 {

@@ -68,3 +68,39 @@ func TestPeekOutOfRangePanics(t *testing.T) {
 	}()
 	d.Peek(60, make([]byte, 8)) // spills past the end
 }
+
+func TestDRAMServesAliasAndClampsToSize(t *testing.T) {
+	d := New(bus.Range{Base: 0x10000, Size: 0x1000}, 60)
+	d.AddAlias(bus.Range{Base: 0x80000, Size: 0x100}, 0xf00)
+	d.Poke(0x10f00, []byte{5, 6, 7, 8})
+	got := make([]byte, 4)
+	tx := &bus.Transaction{Kind: bus.ReadWord, Addr: 0x80000, Data: got}
+	d.SnoopBus(tx).Serve(tx)
+	if !bytes.Equal(got, []byte{5, 6, 7, 8}) {
+		t.Fatalf("alias read got %v", got)
+	}
+	// A word that runs past the end is served up to the last byte only.
+	d.Poke(0x10ffc, []byte{1, 2, 3, 4})
+	wide := []byte{9, 9, 9, 9, 9, 9, 9, 9}
+	tx = &bus.Transaction{Kind: bus.ReadWord, Addr: 0x10ffc, Data: wide}
+	d.SnoopBus(tx).Serve(tx)
+	if !bytes.Equal(wide, []byte{1, 2, 3, 4, 9, 9, 9, 9}) {
+		t.Fatalf("clamped read got %v", wide)
+	}
+}
+
+// TestDRAMSnoopZeroAllocs pins the prebound serve path: claiming and serving
+// a transaction to a written page allocates nothing.
+func TestDRAMSnoopZeroAllocs(t *testing.T) {
+	d := New(bus.Range{Base: 0, Size: 1 << 20}, 60)
+	line := make([]byte, bus.LineSize)
+	wr := &bus.Transaction{Kind: bus.WriteLine, Addr: 0x100, Data: line}
+	rd := &bus.Transaction{Kind: bus.ReadLine, Addr: 0x100, Data: line}
+	d.SnoopBus(wr).Serve(wr)
+	if n := testing.AllocsPerRun(100, func() {
+		d.SnoopBus(wr).Serve(wr)
+		d.SnoopBus(rd).Serve(rd)
+	}); n != 0 {
+		t.Fatalf("DRAM snoop+serve: %v allocs/run, want 0", n)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"startvoyager/internal/bus"
+	"startvoyager/internal/mem"
 	"startvoyager/internal/niu/ctrl"
 	"startvoyager/internal/niu/sram"
 	"startvoyager/internal/sim"
@@ -99,7 +100,7 @@ type ABIU struct {
 	eng  *sim.Engine
 	b    *bus.Bus
 	c    *ctrl.Ctrl
-	aS   *sram.SRAM
+	aS   *mem.Store
 	cls  *sram.Cls
 	m    Map
 	cfg  Config
@@ -152,7 +153,7 @@ type Stats struct {
 }
 
 // NewABIU builds the aBIU for one node. Attach it to the aP bus yourself.
-func NewABIU(eng *sim.Engine, node int, b *bus.Bus, c *ctrl.Ctrl, aS *sram.SRAM,
+func NewABIU(eng *sim.Engine, node int, b *bus.Bus, c *ctrl.Ctrl, aS *mem.Store,
 	cls *sram.Cls, m Map, cfg Config) *ABIU {
 	cfg.fillDefaults()
 	a := &ABIU{

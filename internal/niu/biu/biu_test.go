@@ -47,8 +47,8 @@ type rig struct {
 	b    *bus.Bus
 	dram *mem.DRAM
 	ch   *cache.Cache
-	aS   *sram.SRAM
-	sS   *sram.SRAM
+	aS   *mem.Store
+	sS   *mem.Store
 	cls  *sram.Cls
 	c    *ctrl.Ctrl
 	a    *ABIU
@@ -65,8 +65,8 @@ func newRig(t *testing.T) *rig {
 	dram.AddAlias(testMap.Scoma, 3<<20)
 	ch := cache.New("l2", b, cache.DefaultConfig())
 	ch.SetWritebackSink(dram.Poke)
-	aS := sram.New("aSRAM", 64<<10)
-	sS := sram.New("sSRAM", 64<<10)
+	aS := mem.NewStore("aSRAM", 64<<10)
+	sS := mem.NewStore("sSRAM", 64<<10)
 	cls := sram.NewCls(int(testMap.Scoma.Size) / bus.LineSize)
 	ccfg := ctrl.DefaultConfig()
 	ccfg.ScomaRange = testMap.Scoma

@@ -5,6 +5,7 @@ import (
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/bus"
+	"startvoyager/internal/mem"
 	"startvoyager/internal/niu/sram"
 	"startvoyager/internal/niu/txrx"
 	"startvoyager/internal/sim"
@@ -51,7 +52,7 @@ type SendMsg struct {
 	Translate bool
 	Priority  arctic.Priority
 	// Optional TagOn data appended from SRAM.
-	TagBuf *sram.SRAM
+	TagBuf *mem.Store
 	TagOff uint32
 	TagLen int
 }
@@ -83,7 +84,7 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 		}
 		c.stats.TagOns++
 		c.ibusMove(m.TagLen, func() {
-			m.Frame.Payload = append(m.Frame.Payload, m.TagBuf.Slice(m.TagOff, m.TagLen)...)
+			m.Frame.Payload = m.TagBuf.Append(m.Frame.Payload, m.TagOff, m.TagLen)
 			cont()
 		})
 	}
@@ -111,9 +112,9 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 type BusOp struct {
 	Base
 	Tx      *bus.Transaction
-	ToBuf   *sram.SRAM
+	ToBuf   *mem.Store
 	ToOff   uint32
-	FromBuf *sram.SRAM
+	FromBuf *mem.Store
 	FromOff uint32
 }
 
@@ -143,9 +144,9 @@ func (b *BusOp) exec(c *Ctrl, done func()) {
 // CopySram moves bytes between (or within) the SRAM banks over the IBus.
 type CopySram struct {
 	Base
-	From    *sram.SRAM
+	From    *mem.Store
 	FromOff uint32
-	To      *sram.SRAM
+	To      *mem.Store
 	ToOff   uint32
 	Len     int
 }
@@ -238,7 +239,7 @@ func (b *BlockRead) exec(c *Ctrl, done func()) {
 // optionally delivering a notification message after the last data packet.
 type BlockTx struct {
 	Base
-	Buf      *sram.SRAM
+	Buf      *mem.Store
 	SramOff  uint32
 	Len      int
 	DestNode int
@@ -292,7 +293,7 @@ func (b *BlockTx) exec(c *Ctrl, done func()) {
 			}
 			f := &txrx.Frame{Kind: txrx.Cmd, SrcNode: uint16(c.myNode), Op: op,
 				Addr: b.DestAddr + uint32(off), Aux: uint16(b.ClsState),
-				Payload: append([]byte(nil), b.Buf.Slice(b.SramOff+uint32(off), n)...),
+				Payload: b.Buf.Append(nil, b.SramOff+uint32(off), n),
 				Trace:   sim.MsgTag{ID: c.eng.NewMsgID(), Parent: b.TraceParent}}
 			c.traceMsg("ctrl", "msg-send", f.Trace)
 			c.emit(f, b.DestNode, b.Priority, func() {

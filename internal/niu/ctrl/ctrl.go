@@ -16,6 +16,7 @@ import (
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/bus"
+	"startvoyager/internal/mem"
 	"startvoyager/internal/niu/sram"
 	"startvoyager/internal/niu/txrx"
 	"startvoyager/internal/sim"
@@ -136,7 +137,7 @@ func (c *Config) fillDefaults() {
 
 // TxConfig configures one hardware transmit queue.
 type TxConfig struct {
-	Buf        *sram.SRAM // aSRAM or sSRAM bank holding the slots
+	Buf        *mem.Store // aSRAM or sSRAM bank holding the slots
 	Base       uint32     // slot array base offset in Buf
 	EntryBytes int        // slot size (96 for Basic, 8 for Express)
 	Entries    int        // number of slots
@@ -154,7 +155,7 @@ type TxConfig struct {
 
 // RxConfig configures one hardware receive queue.
 type RxConfig struct {
-	Buf        *sram.SRAM
+	Buf        *mem.Store
 	Base       uint32
 	EntryBytes int
 	Entries    int
@@ -222,8 +223,8 @@ type Ctrl struct {
 	myNode int
 	cfg    Config
 
-	aSRAM *sram.SRAM
-	sSRAM *sram.SRAM
+	aSRAM *mem.Store
+	sSRAM *mem.Store
 	cls   *sram.Cls
 
 	busPort BusPort
@@ -262,7 +263,7 @@ type Ctrl struct {
 	lnFlags   byte       // slot flags
 	lnRawLQ   uint16     // logical queue for untranslated messages
 	lnPri     arctic.Priority
-	lnTagBank *sram.SRAM // TagOn source bank
+	lnTagBank *mem.Store // TagOn source bank
 	lnTagOff  uint32
 	lnTagLen  int
 	lnTrIdx   int // translation table index
@@ -287,7 +288,7 @@ type Ctrl struct {
 }
 
 // New builds a CTRL for node myNode over the given SRAMs.
-func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Config) *Ctrl {
+func New(eng *sim.Engine, myNode int, aS, sS *mem.Store, cls *sram.Cls, cfg Config) *Ctrl {
 	cfg.fillDefaults()
 	c := &Ctrl{
 		eng: eng, myNode: myNode, cfg: cfg,
@@ -461,10 +462,10 @@ func (c *Ctrl) traceMsg(component, name string, tag sim.MsgTag, extra ...sim.Fie
 func (c *Ctrl) Cls() *sram.Cls { return c.cls }
 
 // ASram exposes the aSRAM bank.
-func (c *Ctrl) ASram() *sram.SRAM { return c.aSRAM }
+func (c *Ctrl) ASram() *mem.Store { return c.aSRAM }
 
 // SSram exposes the sSRAM bank.
-func (c *Ctrl) SSram() *sram.SRAM { return c.sSRAM }
+func (c *Ctrl) SSram() *mem.Store { return c.sSRAM }
 
 // cycles converts NIU cycles to time.
 //

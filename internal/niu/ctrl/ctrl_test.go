@@ -7,6 +7,7 @@ import (
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/bus"
+	"startvoyager/internal/mem"
 	"startvoyager/internal/niu/sram"
 	"startvoyager/internal/niu/txrx"
 	"startvoyager/internal/sim"
@@ -101,8 +102,8 @@ type rig struct {
 	net  *fakeNet
 	busp *fakeBus
 	ints *fakeInts
-	aS   *sram.SRAM
-	sS   *sram.SRAM
+	aS   *mem.Store
+	sS   *mem.Store
 }
 
 func newRig(t *testing.T, node int) *rig {
@@ -110,8 +111,8 @@ func newRig(t *testing.T, node int) *rig {
 		t.Helper()
 	}
 	eng := sim.NewEngine()
-	aS := sram.New("aSRAM", 64<<10)
-	sS := sram.New("sSRAM", 64<<10)
+	aS := mem.NewStore("aSRAM", 64<<10)
+	sS := mem.NewStore("sSRAM", 64<<10)
 	cls := sram.NewCls(1024)
 	cfg := DefaultConfig()
 	cfg.ScomaRange = bus.Range{Base: 0x8000_0000, Size: 1024 * bus.LineSize}
@@ -594,7 +595,7 @@ func TestBlockTxToRemoteDram(t *testing.T) {
 	// Node 0 block-transmits 1 KB of aSRAM into node 1's DRAM, with a
 	// completion notification into logical queue 30.
 	r := newRig(t, 0)
-	peerC := New(r.eng, 1, sram.New("a1", 64<<10), sram.New("s1", 64<<10),
+	peerC := New(r.eng, 1, mem.NewStore("a1", 64<<10), mem.NewStore("s1", 64<<10),
 		sram.NewCls(16), DefaultConfig())
 	peerBus := &fakeBus{eng: r.eng, memry: make([]byte, 1<<20), delay: 150}
 	peerC.SetPorts(peerBus, &fakeNet{eng: r.eng}, &fakeInts{})

@@ -179,7 +179,7 @@ func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
 //
 //voyager:noalloc payload append stays within MaxDataPayload capacity after warm-up
 func (c *Ctrl) lnTagOn() {
-	c.lnFrame.Payload = append(c.lnFrame.Payload, c.lnTagBank.Slice(c.lnTagOff, c.lnTagLen)...) //voyager:alloc-ok(payload capacity grows once to MaxDataPayload)
+	c.lnFrame.Payload = c.lnTagBank.Append(c.lnFrame.Payload, c.lnTagOff, c.lnTagLen)
 	c.lnFinish()
 }
 

@@ -1,102 +1,15 @@
-// Package sram models the NIU's buffer memories: the two dual-ported banks
+// Package sram models the NIU's single-ported clsSRAM, which holds
+// cache-line state bits for S-COMA memory. The two dual-ported buffer banks
 // (aSRAM on the aP bus side, sSRAM on the sP side, both also ported to the
-// IBus) and the single-ported clsSRAM that holds cache-line state bits for
-// S-COMA memory.
+// IBus) are plain mem.Store byte memories.
 //
-// Port contention is not modeled here: the IBus (a sim.Resource owned by
+// Port contention is not modeled in either: the IBus (a sim.Resource owned by
 // CTRL) is the serialization point for all NIU-internal data movement, and
 // the 60X buses serialize processor-side accesses, matching the dual-ported
 // parts' ability to serve both sides concurrently.
 package sram
 
 import "fmt"
-
-// SRAM is a byte-addressed buffer memory. The backing array grows on demand
-// (doubling, up to the configured capacity): a bank whose software only uses
-// the queue region at the bottom costs a few KB of host memory rather than
-// the full 128 KB, which is what makes thousand-node machines cheap. Bytes
-// beyond the materialized prefix read as zeros, identical to a dense
-// zero-initialized array.
-type SRAM struct {
-	name string
-	size int
-	data []byte // materialized prefix; len(data) <= size
-}
-
-// New allocates an SRAM of size bytes.
-func New(name string, size int) *SRAM {
-	return &SRAM{name: name, size: size}
-}
-
-// Name returns the bank's name ("aSRAM", "sSRAM").
-func (s *SRAM) Name() string { return s.name }
-
-// Size returns the bank capacity in bytes.
-func (s *SRAM) Size() int { return s.size }
-
-// ResidentBytes returns the host bytes materialized so far.
-func (s *SRAM) ResidentBytes() int { return len(s.data) }
-
-// grow extends the materialized prefix to cover at least end bytes. Growth
-// reallocates, so previously returned Slice views go stale — which the Slice
-// contract (no retention across foreign writes) already forbids relying on.
-func (s *SRAM) grow(end uint32) {
-	if int(end) <= len(s.data) {
-		return
-	}
-	n := 256
-	for n < int(end) {
-		n <<= 1
-	}
-	if n > s.size {
-		n = s.size
-	}
-	nd := make([]byte, n)
-	copy(nd, s.data)
-	s.data = nd
-}
-
-// Read copies len(buf) bytes at off into buf.
-func (s *SRAM) Read(off uint32, buf []byte) {
-	s.check(off, len(buf))
-	var n int
-	if int(off) < len(s.data) {
-		n = copy(buf, s.data[off:])
-	}
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
-	}
-}
-
-// Write copies data into the bank at off.
-func (s *SRAM) Write(off uint32, data []byte) {
-	s.check(off, len(data))
-	s.grow(off + uint32(len(data)))
-	copy(s.data[off:], data)
-}
-
-// ByteAt returns the byte at off.
-func (s *SRAM) ByteAt(off uint32) byte {
-	s.check(off, 1)
-	if int(off) >= len(s.data) {
-		return 0
-	}
-	return s.data[off]
-}
-
-// Slice returns a view of [off, off+n) for zero-copy internal moves. Callers
-// must not retain it across writes they do not control.
-func (s *SRAM) Slice(off uint32, n int) []byte {
-	s.check(off, n)
-	s.grow(off + uint32(n))
-	return s.data[off : off+uint32(n)]
-}
-
-func (s *SRAM) check(off uint32, n int) {
-	if uint64(off)+uint64(n) > uint64(s.size) {
-		panic(fmt.Sprintf("sram: %s access %#x+%d beyond size %#x", s.name, off, n, s.size))
-	}
-}
 
 // LineState is a 4-bit S-COMA cache-line state stored in clsSRAM. The NIU
 // interprets states through the aBIU's action table, so the encoding itself
@@ -150,9 +63,6 @@ func NewCls(lines int) *Cls {
 
 // Lines returns the number of tracked lines.
 func (c *Cls) Lines() int { return c.lines }
-
-// ResidentBytes returns the host bytes materialized so far.
-func (c *Cls) ResidentBytes() int { return len(c.states) }
 
 // Get returns the state for line idx.
 func (c *Cls) Get(idx int) LineState {

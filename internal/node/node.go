@@ -193,8 +193,8 @@ type Node struct {
 	Dram  *mem.DRAM
 	Cache *cache.Cache
 
-	ASram   *sram.SRAM
-	SSram   *sram.SRAM
+	ASram   *mem.Store
+	SSram   *mem.Store
 	ClsSram *sram.Cls
 	Ctrl    *ctrl.Ctrl
 	ABIU    *biu.ABIU
@@ -227,8 +227,8 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
 	n.Cache.SetNode(id)
 	n.Cache.SetWritebackSink(n.Dram.Poke)
 
-	n.ASram = sram.New(fmt.Sprintf("aSRAM%d", id), cfg.ASramSize)
-	n.SSram = sram.New(fmt.Sprintf("sSRAM%d", id), cfg.SSramSize)
+	n.ASram = mem.NewStore(fmt.Sprintf("aSRAM%d", id), cfg.ASramSize)
+	n.SSram = mem.NewStore(fmt.Sprintf("sSRAM%d", id), cfg.SSramSize)
 
 	n.Map = biu.Map{
 		Sram:      bus.Range{Base: SramBase, Size: uint32(cfg.ASramSize)},

@@ -69,6 +69,21 @@ func TestRingDropsOldest(t *testing.T) {
 	}
 }
 
+func TestRingGrowsToExactCapacity(t *testing.T) {
+	eng := sim.NewEngine()
+	b := Attach(eng, 1000)
+	for i := 0; i < 1001; i++ {
+		eng.Instant(0, "x", "e", sim.Int("i", i))
+		if c := cap(b.events); c > 1000 {
+			t.Fatalf("after %d events the ring holds %d slots, capacity is 1000", i+1, c)
+		}
+	}
+	evs := b.Events()
+	if len(evs) != 1000 || evs[0].Fields[0].Value() != "1" || evs[999].Fields[0].Value() != "1000" {
+		t.Fatalf("len=%d first=%v last=%v", len(evs), evs[0].Fields, evs[len(evs)-1].Fields)
+	}
+}
+
 func TestFilter(t *testing.T) {
 	eng := sim.NewEngine()
 	b := Attach(eng, 16)
